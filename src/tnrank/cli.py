@@ -2,8 +2,7 @@
 
 Subcommands: rank, decompose, contract, embed, dim, gallery, fit, verify.
 All commands are reproducible bit for bit given identical inputs and
-``--seed``; the TNRANK_THREADS environment variable caps parallelism in
-``verify``.
+``--seed``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _load_tensor(path, mode: str | None, tol_unused=None):
+def _load_tensor(path, mode: str | None):
     t = io.tensor_from_json(io.load(path))
     if mode is None or mode == t.mode:
         return t

@@ -1,17 +1,22 @@
 """Matrix rank and rank-revealing factorization in both scalar modes.
 
-Exact mode works over the Gaussian rationals.  Ranks are computed by
-fraction-free (Bareiss) elimination with column pivoting, which keeps all
-intermediate values equal to minors of the cleared integer matrix and so
-bounds coefficient growth; Python's arbitrary-precision integers make the
-result exact for any input.  Float mode uses singular values with a
-relative tolerance.
+Exact mode works over the Gaussian rationals.  Each row is first cleared of
+denominators, leaving Python ints for real input and Gaussian integers
+otherwise.  One fraction-free (Bareiss) elimination kernel then serves both
+exact entry points: its forward sweep gives the rank, and with the rows above
+each pivot swept too it gives the reduced row echelon form as integer
+numerators over one common denominator.  Every intermediate value is a minor
+of the cleared matrix, so coefficient growth stays polynomial, and Python's
+arbitrary-precision integers keep the result exact for any input.  Float mode
+uses singular values with a relative tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,52 +80,57 @@ def _cleared_rows(mat):
     return out, is_real
 
 
-def _bareiss_rank(rows, exact_div) -> int:
-    """Fraction-free elimination on mutable rows; returns the rank.
+def _bareiss(rows, is_real: bool, reduce: bool):
+    """Fraction-free (Bareiss) elimination on the cleared rows, in place.
 
-    ``exact_div(x, d)`` must implement exact division in the entry domain
-    (``//`` for integers, true division for Gaussian rationals; both are
-    exact here because every quotient is a minor by Sylvester's identity).
+    Columns are scanned left to right and the first nonzero row at or below
+    the current one becomes the pivot row.  With pivot ``p`` and previous
+    pivot ``prev``, every other row ``ri`` in the sweep becomes
+    ``(p*ri - ri[col]*rk) / prev``.  By Sylvester's identity each quotient
+    is a minor of the input, so the division is exact: ``//`` on ints, ``/``
+    on Gaussian integers.  Rows whose pivot-column entry is zero are scaled
+    too; skipping them breaks the invariant.
+
+    The sweep covers the rows below the pivot, so the pivot count is the
+    rank.  With ``reduce`` it also covers the rows above (fraction-free
+    Gauss-Jordan): every pivot then ends equal to the last one, ``d``, and
+    the reduced row echelon form is ``rows[:rank] / d``.
+
+    Returns ``(pivot_cols, d)``.
     """
+    div = operator.floordiv if is_real else operator.truediv
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
     prev = 1
-    row = 0
     for col in range(ncols):
-        if row >= nrows:
+        k = len(pivots)
+        if k == nrows:
             break
-        piv = -1
-        for i in range(row, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
+        piv = next((i for i in range(k, nrows) if rows[i][col]), None)
+        if piv is None:
             continue
-        if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
-        p = rows[row][col]
-        for i in range(row + 1, nrows):
-            f = rows[i][col]
-            if not f:
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        p = rk[col]
+        for i in range(0 if reduce else k + 1, nrows):
+            if i == k:
                 continue
-            ri, rr = rows[i], rows[row]
-            for j in range(col, ncols):
-                ri[j] = exact_div(p * ri[j] - f * rr[j], prev)
+            ri = rows[i]
+            f = ri[col]
+            start = pivots[i] if i < k else col  # ri is zero before start
+            ri[start:] = [div(p * a - f * b, prev) for a, b in zip(ri[start:], rk[start:])]
+        pivots.append(col)
         prev = p
-        row += 1
-    return row
+    return pivots, prev
 
 
 def exact_rank(mat: np.ndarray) -> int:
     """Rank over the rationals of an object matrix of exact scalars."""
     if mat.ndim != 2:
         raise ValueError("exact_rank expects a 2-d array")
-    if mat.size == 0:
-        return 0
     rows, is_real = _cleared_rows(mat)
-    if is_real:
-        return _bareiss_rank(rows, lambda x, d: x // d)
-    return _bareiss_rank(rows, lambda x, d: x / d)
+    return len(_bareiss(rows, is_real, reduce=False)[0])
 
 
 def exact_row_reduce(mat: np.ndarray):
@@ -133,53 +143,15 @@ def exact_row_reduce(mat: np.ndarray):
     """
     if mat.ndim != 2:
         raise ValueError("exact_row_reduce expects a 2-d array")
-    nrows, ncols = mat.shape
     rows, is_real = _cleared_rows(mat)
-    if is_real:
-        rows = [[GaussianRational(x) for x in row] for row in rows]
-
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        piv = -1
-        for i in range(row, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
-        p = rows[row][col]
-        for i in range(row + 1, nrows):
-            f = rows[i][col]
-            if not f:
-                continue
-            ri, rr = rows[i], rows[row]
-            for j in range(col, ncols):
-                ri[j] = p * ri[j] - f * rr[j]
-        pivots.append(col)
-        row += 1
-    rank = row
-
-    # Back-substitution: normalize pivots to one and clear entries above.
-    for k in range(rank - 1, -1, -1):
-        ck = pivots[k]
-        p = rows[k][ck]
-        rows[k] = [x / p for x in rows[k]]
-        for i in range(k):
-            f = rows[i][ck]
-            if not f:
-                continue
-            ri, rk = rows[i], rows[k]
-            for j in range(ck, ncols):
-                ri[j] = ri[j] - f * rk[j]
-
-    rref = np.empty((rank, ncols), dtype=object)
+    pivots, d = _bareiss(rows, is_real, reduce=True)
+    rank = len(pivots)
+    rref = np.empty((rank, mat.shape[1]), dtype=object)
     for k in range(rank):
-        rref[k, :] = rows[k]
+        if is_real:
+            rref[k, :] = [GaussianRational(Fraction(x, d)) for x in rows[k]]
+        else:
+            rref[k, :] = [x / d for x in rows[k]]
     return rank, pivots, rref
 
 

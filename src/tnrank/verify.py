@@ -9,8 +9,6 @@ they document numerical evidence where the closed forms are ambiguous.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +33,6 @@ from .tree_rank import (
     ttns_decompose,
     ttns_rank,
 )
-
-THREADS_ENV = "TNRANK_THREADS"
 
 # Committed calibration for the border-rank demonstration (criterion 13):
 # pilot runs fixed the restart budget, base budget and seed so the
@@ -593,13 +589,7 @@ def claims(filter_substr: str | None = None) -> list[Claim]:
 
 
 def run_claims(filter_substr: str | None = None) -> list[dict]:
-    """Run claims (optionally filtered); records sorted by claim id.
-
-    The TNRANK_THREADS environment variable caps parallel claim execution
-    (default 1, fully serial).
-    """
-    todo = claims(filter_substr)
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1") or "1"))
+    """Run claims (optionally filtered) serially; records sorted by claim id."""
 
     def run_one(claim: Claim) -> dict:
         try:
@@ -617,12 +607,7 @@ def run_claims(filter_substr: str | None = None) -> list[dict]:
             "detail": result.get("detail", ""),
         }
 
-    if threads == 1:
-        records = [run_one(c) for c in todo]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, todo))
-    return sorted(records, key=lambda r: r["id"])
+    return [run_one(c) for c in claims(filter_substr)]
 
 
 def all_gated_pass(records) -> bool:

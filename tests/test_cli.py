@@ -131,15 +131,6 @@ def test_mode_flag_converts_to_float(workdir, capsys):
     assert doc["rank"] == [2, 2]
 
 
-def test_threads_env_does_not_change_results(workdir, monkeypatch, capsys):
-    from tnrank import verify
-
-    serial = verify.run_claims("parameter-report")
-    monkeypatch.setenv("TNRANK_THREADS", "2")
-    parallel = verify.run_claims("parameter-report")
-    assert serial == parallel
-
-
 def test_gallery_monomial_and_border(workdir, capsys):
     assert main(["gallery", "monomial", "--exponents", "2,1", "--out", "m.json"]) == 0
     assert main(["gallery", "border", "--d", "3", "--n", "2", "--out", "b.json"]) == 0

@@ -2,6 +2,9 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from tnrank.elimination import (
     RankToleranceWarning,
     exact_rank,
@@ -12,6 +15,12 @@ from tnrank.elimination import (
 )
 from tnrank.scalars import GaussianRational as GR
 from tnrank.tensor import exact_tensor
+
+
+# Rank 3.  After the first pivot the row [0, 6, 0, 4] has a zero in the pivot
+# column; a Bareiss sweep that skips such rows stops dividing exactly and
+# reports rank 4.
+RANK3_5X4 = [[0, 6, 0, 4], [6, -4, 4, -5], [-4, -3, 2, -2], [-4, 1, -2, 2], [-6, 0, 0, 1]]
 
 
 def _obj(rows):
@@ -41,6 +50,7 @@ def test_exact_rank_small_known():
     assert exact_rank(_obj([[1, 0], [0, 1]])) == 2
     assert exact_rank(_obj([[1, 2], [2, 4]])) == 1
     assert exact_rank(_obj([[0, 0], [0, 0]])) == 0
+    assert exact_rank(_obj(RANK3_5X4)) == 3
 
 
 def test_exact_rank_matches_naive_reference_on_random_integers():
@@ -133,3 +143,48 @@ def test_exact_vs_float_cross_check():
     for _ in range(25):
         rows = rng.integers(-1000, 1001, size=(5, 6)).tolist()
         assert exact_rank(_obj(rows)) == float_rank(np.array(rows, dtype=complex))
+
+
+@st.composite
+def _planted_low_rank(draw):
+    """Rows of the product of small r x k and k x c factors, so rank <= k.
+
+    The factors are integer or Gaussian-integer; k = 0 gives the zero matrix.
+    """
+    r, k, c = draw(st.integers(1, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    part = st.integers(-3, 3)
+    entry = st.builds(GR, part, part if draw(st.booleans()) else st.just(0))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    return [[sum((a[i][l] * b[l][j] for l in range(k)), GR(0)) for j in range(c)] for i in range(r)]
+
+
+def _sym(g):
+    return sympy.Rational(g.re.numerator, g.re.denominator) + sympy.I * sympy.Rational(
+        g.im.numerator, g.im.denominator
+    )
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@example(rows=RANK3_5X4)
+@given(rows=_planted_low_rank())
+def test_planted_rank_and_rref_match_sympy(rows):
+    mat = _obj(rows)
+    m, n = mat.shape
+    sym = sympy.Matrix(m, n, lambda i, j: _sym(mat[i, j]))
+    rank = exact_rank(mat)
+    assert rank == sym.rank()
+
+    rank2, pivots, rref = exact_row_reduce(mat)
+    sym_rref, sym_pivots = sym.rref()
+    assert rank2 == rank
+    assert tuple(pivots) == sym_pivots
+    for i in range(rank):
+        for j in range(n):
+            assert sympy.expand(sympy.radsimp(sym_rref[i, j] - _sym(rref[i, j]))) == 0
+
+    _, cmat, rmat = exact_rank_factor(mat)
+    prod = cmat @ rmat if rank else np.zeros((m, n), dtype=object)
+    for i in range(m):
+        for j in range(n):
+            assert GR(0) + prod[i, j] == mat[i, j]

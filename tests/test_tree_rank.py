@@ -184,3 +184,16 @@ def test_ghz_padded_inheritance():
     padded = mlmul(g, [pad] * 3)
     for tree in all_trees(3):
         assert ttns_rank(padded, tree) == ttns_rank(g, tree)
+
+
+def test_zero_entries_in_pivot_column_keep_exact_ranks():
+    # Rank 3; the exact rank kernel once skipped rows with a zero in the
+    # pivot column and then truncated, reporting rank 4 here.
+    t = exact_tensor(
+        [[0, 6, 0, 4], [6, -4, 4, -5], [-4, -3, 2, -2], [-4, 1, -2, 2], [-6, 0, 0, 1]]
+    )
+    g = path_graph(2)
+    assert ttns_rank(t, g) == (3,)
+    assert ttns_decompose(t, g).edge_dims == (3,)
+    assert multilinear_rank(t) == (3, 3)
+    assert tree_membership(t, g, (3,))
