@@ -5,7 +5,6 @@ from .tensor import (
     Tensor,
     add,
     basis_vector,
-    contract_pairs,
     exact_tensor,
     flatten,
     float_tensor,

@@ -159,32 +159,32 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if not args.out:
+        raise ValueError("decompose needs --out for the state file")
     t = _load_tensor(args.tensor, args.mode)
     g = io.graph_from_json(io.load(args.graph))
     state = ttns_decompose(t, g, args.tol)
-    if not args.out:
-        raise ValueError("decompose needs --out for the state file")
     io.dump(io.state_to_json(state), args.out)
     print(json.dumps({"edge_dims": list(state.edge_dims)}, sort_keys=True))
     return 0
 
 
 def _cmd_contract(args) -> int:
-    state = io.state_from_json(io.load(args.state))
-    t = contract_network(state)
     if not args.out:
         raise ValueError("contract needs --out for the tensor file")
+    state = io.state_from_json(io.load(args.state))
+    t = contract_network(state)
     io.dump(io.tensor_to_json(t), args.out)
     print(json.dumps({"dims": list(t.dims), "mode": t.mode}, sort_keys=True))
     return 0
 
 
 def _cmd_embed(args) -> int:
+    if not args.out:
+        raise ValueError("embed needs --out for the state file")
     cp = io.cp_from_json(io.load(args.cp))
     g = io.graph_from_json(io.load(args.graph))
     state = universal_embed(cp, g)
-    if not args.out:
-        raise ValueError("embed needs --out for the state file")
     io.dump(io.state_to_json(state), args.out)
     print(json.dumps({"edge_dims": list(state.edge_dims)}, sort_keys=True))
     return 0

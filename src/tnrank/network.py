@@ -5,11 +5,20 @@ dimension per vertex, and one factor tensor per vertex.  Factor mode layout
 is fixed: incident edges in ascending edge-id order, then the physical mode
 last.  Contraction pairs bond indices symmetrically, so edge orientation is
 never represented.
+
+One engine serves full contraction and the leave-one-out environments of ALS
+and the Jacobian: a greedy pairwise plan, cached per (graph, factor shapes,
+left-out vertex), replayed with ``np.tensordot`` on exact or float arrays.
+The plan knows its largest tensor in advance, and a contraction above the
+size limit is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,81 +143,96 @@ class CPDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Partial:
-    data: np.ndarray
-    labels: list  # ("bond", edge_id) or ("phys", vertex)
-    vertices: frozenset = field(default_factory=frozenset)
+# Plans are keyed by (graph, factor shapes, left-out vertex).  An ALS sweep or
+# a Jacobian uses d of them, so a small fixed bound keeps the hot ones while
+# memory stays flat over long runs.
+_PLAN_CACHE_SIZE = 256
+# Largest tensor, in entries, a contraction may create (2 GiB of complex128).
+_MAX_ENTRIES = 2**27
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(graph: NetworkGraph, shapes: tuple, omit: int | None):
+    """Greedy pairwise schedule contracting every factor except vertex ``omit``.
+
+    Each step contracts the connected pair of partial tensors whose result is
+    smallest, ties broken by lowest involved vertex id; with no connected
+    pair left, the two components with the lowest vertex ids are joined by
+    outer product.  Bonds to ``omit`` sit on one factor only, so stay open.
+
+    Slots 0..d-1 hold the factors and step k writes slot d + k.  Returns
+    ``(steps, result_slot, perm, largest)``: steps are ``(slot_a, slot_b,
+    (axes_a, axes_b))``, ``perm`` orders the result as the other physical
+    modes ascending and then ``omit``'s bonds ascending, and ``largest`` is
+    the entry count of the biggest tensor created, result included.
+    """
+    parts = []  # (slot, {label: extent} in axis order, vertex set)
+    for i in range(1, graph.d + 1):
+        if i != omit:
+            labels = [("bond", e) for e in graph.incident_edges(i)] + [("phys", i)]
+            parts.append((i - 1, dict(zip(labels, shapes[i - 1])), frozenset([i])))
+    if not parts:
+        raise GraphError("nothing to contract: the graph has no other vertex")
+    steps, largest = [], 0
+    while len(parts) > 1:
+        best = None
+        for ia, ib in itertools.combinations(range(len(parts)), 2):
+            (_, ma, va), (_, mb, vb) = parts[ia], parts[ib]
+            shared = ma.keys() & mb.keys()
+            if shared:
+                size = math.prod(x for m in (ma, mb) for l, x in m.items() if l not in shared)
+                key = (size, min(va | vb), tuple(sorted(va | vb)))
+                if best is None or key < best[0]:
+                    best = (key, ia, ib)
+        if best is None:
+            ia, ib = sorted(range(len(parts)), key=lambda k: min(parts[k][2]))[:2]
+        else:
+            ia, ib = best[1:]
+        (sa, ma, va), (sb, mb, vb) = sorted((parts[ia], parts[ib]), key=lambda p: min(p[2]))
+        # Sorted so the axis pairing (and float summation order) is stable.
+        shared = sorted(ma.keys() & mb.keys())
+        steps.append((sa, sb, tuple(tuple(list(m).index(l) for l in shared) for m in (ma, mb))))
+        merged = {l: x for m in (ma, mb) for l, x in m.items() if l not in shared}
+        largest = max(largest, math.prod(merged.values()))
+        parts = [p for k, p in enumerate(parts) if k not in (ia, ib)]
+        parts.append((graph.d + len(steps) - 1, merged, va | vb))
+
+    slot, modes, _ = parts[0]
+    order = [("phys", j) for j in range(1, graph.d + 1) if j != omit]
+    if omit is not None:
+        order += [("bond", e) for e in graph.incident_edges(omit)]
+    perm = tuple(list(modes).index(l) for l in order)
+    return tuple(steps), slot, perm, max(largest, math.prod(modes.values()))
+
+
+def _replay(graph: NetworkGraph, arrays, omit: int | None) -> np.ndarray:
+    """Contract ``arrays`` (one per vertex) along the cached plan's steps.
+
+    Raises GraphError before any work when the plan would create a tensor
+    above ``_MAX_ENTRIES`` entries.
+    """
+    steps, slot, perm, largest = _plan(graph, tuple(a.shape for a in arrays), omit)
+    if largest > _MAX_ENTRIES:
+        raise GraphError(
+            f"contraction would create a tensor of {largest} entries, "
+            f"above the limit of {_MAX_ENTRIES}"
+        )
+    work = list(arrays)
+    for a, b, axes in steps:
+        work.append(np.tensordot(work[a], work[b], axes=axes))
+        work[a] = work[b] = None
+    return np.transpose(work[slot], perm)
 
 
 def contract_network(state: TNState) -> Tensor:
     """Contract all bonds, returning the order-d tensor of the state.
 
-    Schedule: greedily contract the connected pair of partial tensors whose
-    result has the smallest total size, ties broken by lowest involved
-    vertex id.  The result is schedule-independent.
+    The schedule is the greedy plan of ``_plan``; the result is
+    schedule-independent.
     """
-    g = state.graph
-    mode = state.mode
     if any(r == 0 for r in state.edge_dims):
-        return tz.zeros(state.vertex_dims, mode)
-
-    parts: list[_Partial] = []
-    for i, f in enumerate(state.factors, start=1):
-        labels = [("bond", e) for e in g.incident_edges(i)] + [("phys", i)]
-        parts.append(_Partial(f.data, labels, frozenset([i])))
-
-    def result_size(a: _Partial, b: _Partial, shared):
-        size = 1
-        for part in (a, b):
-            for lab, ext in zip(part.labels, part.data.shape):
-                if lab not in shared:
-                    size *= ext
-        return size
-
-    while len(parts) > 1:
-        best = None
-        for ia in range(len(parts)):
-            for ib in range(ia + 1, len(parts)):
-                a, b = parts[ia], parts[ib]
-                shared = set(a.labels) & set(b.labels)
-                if not shared:
-                    continue
-                key = (
-                    result_size(a, b, shared),
-                    min(a.vertices | b.vertices),
-                    tuple(sorted(a.vertices | b.vertices)),
-                )
-                if best is None or key < best[0]:
-                    best = (key, ia, ib)
-        if best is None:
-            # Disconnected graph: combine remaining components by outer
-            # product, lowest vertex id first.
-            parts.sort(key=lambda p: min(p.vertices))
-            a, b = parts[0], parts[1]
-            data = np.tensordot(a.data, b.data, axes=0)
-            merged = _Partial(data, a.labels + b.labels, a.vertices | b.vertices)
-            parts = [merged] + parts[2:]
-            continue
-        _, ia, ib = best
-        a, b = parts[ia], parts[ib]
-        if min(b.vertices) < min(a.vertices):
-            a, b = b, a
-        # Sorted so the axis pairing (and float summation order) is stable.
-        shared = sorted(set(a.labels) & set(b.labels))
-        ax_a = [a.labels.index(s) for s in shared]
-        ax_b = [b.labels.index(s) for s in shared]
-        data = np.tensordot(a.data, b.data, axes=(ax_a, ax_b))
-        labels = [l for k, l in enumerate(a.labels) if k not in ax_a] + [
-            l for k, l in enumerate(b.labels) if k not in ax_b
-        ]
-        merged = _Partial(data, labels, a.vertices | b.vertices)
-        parts = [p for k, p in enumerate(parts) if k not in (ia, ib)]
-        parts.append(merged)
-
-    final = parts[0]
-    order = [final.labels.index(("phys", i)) for i in range(1, g.d + 1)]
-    return Tensor(np.transpose(final.data, order), mode)
+        return tz.zeros(state.vertex_dims, state.mode)
+    return Tensor(_replay(state.graph, [f.data for f in state.factors], None), state.mode)
 
 
 def random_state(spec: ProblemSpec, seed: int) -> TNState:
@@ -259,32 +283,16 @@ def universal_embed(cp: CPDecomposition, g: NetworkGraph) -> TNState:
     return TNState(g, (r,) * g.c, dims, tuple(factors))
 
 
-_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 def environment(graph: NetworkGraph, factors, i: int) -> np.ndarray:
-    """Contract every factor except vertex i (float arrays only).
+    """Contract every factor except vertex i, with the planner of ``contract_network``.
 
+    ``factors`` holds Tensors or bare arrays, one per vertex, exact or float.
     Output modes: physical modes of the other vertices ascending, then the
     bond modes of vertex i's incident edges ascending.  The contracted state
     is linear in factor i against this environment.
     """
-    d = graph.d
-    if graph.c + d > len(_SYMBOLS):
-        raise GraphError("graph too large for einsum-based environment")
-    bond_sym = {e: _SYMBOLS[e - 1] for e in range(1, graph.c + 1)}
-    phys_sym = {v: _SYMBOLS[graph.c + v - 1] for v in range(1, d + 1)}
-    operands = []
-    subs = []
-    for j in range(1, d + 1):
-        if j == i:
-            continue
-        subs.append("".join(bond_sym[e] for e in graph.incident_edges(j)) + phys_sym[j])
-        operands.append(factors[j - 1].data if isinstance(factors[j - 1], Tensor) else factors[j - 1])
-    out = "".join(phys_sym[j] for j in range(1, d + 1) if j != i)
-    out += "".join(bond_sym[e] for e in graph.incident_edges(i))
-    expr = ",".join(subs) + "->" + out
-    return np.einsum(expr, *operands, optimize=True)
+    arrays = [f.data if isinstance(f, Tensor) else f for f in factors]
+    return _replay(graph, arrays, i)
 
 
 # ---------------------------------------------------------------------------

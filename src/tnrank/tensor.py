@@ -101,30 +101,6 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.tensordot(a.data, b.data, axes=0), mode)
 
 
-def contract_pairs(a: Tensor, b: Tensor, pairs) -> Tensor:
-    """Contract paired modes (1-based ``(mode_a, mode_b)`` pairs).
-
-    Result modes are the unpaired modes of ``a`` in ascending order followed
-    by the unpaired modes of ``b`` in ascending order.
-    """
-    mode = check_same_mode(a.mode, b.mode)
-    ax_a = [p - 1 for p, _ in pairs]
-    ax_b = [q - 1 for _, q in pairs]
-    if len(set(ax_a)) != len(ax_a) or len(set(ax_b)) != len(ax_b):
-        raise ValueError("a mode may appear in at most one pair")
-    for pa, pb in zip(ax_a, ax_b):
-        if not (0 <= pa < a.order and 0 <= pb < b.order):
-            raise ValueError("pair refers to a nonexistent mode")
-        if a.dims[pa] != b.dims[pb]:
-            raise ValueError(
-                f"extent mismatch: mode {pa + 1} of A has {a.dims[pa]}, "
-                f"mode {pb + 1} of B has {b.dims[pb]}"
-            )
-    if not pairs:
-        return outer(a, b)
-    return Tensor(np.tensordot(a.data, b.data, axes=(ax_a, ax_b)), mode)
-
-
 def permute(a: Tensor, perm) -> Tensor:
     """Relabel modes: result mode ``perm[k]`` is old mode ``k`` (1-based)."""
     perm = tuple(perm)

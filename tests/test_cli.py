@@ -136,3 +136,49 @@ def test_gallery_monomial_and_border(workdir, capsys):
     assert main(["gallery", "border", "--d", "3", "--n", "2", "--out", "b.json"]) == 0
     doc = json.load(open("b.json"))
     assert doc["dims"] == [4, 4, 4]
+
+
+def _grid_edges(side):
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c + 1
+            if c + 1 < side:
+                edges.append((v, v + 1))
+            if r + 1 < side:
+                edges.append((v, v + side))
+    return edges
+
+
+def test_contract_refuses_oversized_plan(workdir, capsys):
+    # A 6x6 grid with bond 2 and n = 2 contracts to 2^36 entries; the plan
+    # is refused before any tensor is allocated.
+    from tnrank.graph import NetworkGraph
+    from tnrank.network import ProblemSpec, random_state
+
+    g = NetworkGraph(36, tuple(_grid_edges(6)))
+    state = random_state(ProblemSpec(g, (2,) * g.c, (2,) * 36), 0)
+    io.dump(io.state_to_json(state), "grid.json")
+    assert main(["contract", "grid.json", "--out", "t.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(2**36) in err
+    assert not (workdir / "t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["contract", "state.json"], "contract_network"), (["decompose", "ghz4.json", "p4.json"], "ttns_decompose")],
+    ids=["contract", "decompose"],
+)
+def test_missing_out_is_checked_before_the_work(workdir, capsys, monkeypatch, argv, work):
+    main(["gallery", "ghz", "--d", "4", "--what", "train", "--out", "state.json"])
+    main(["gallery", "ghz", "--d", "4", "--out", "ghz4.json"])
+    _write_graph("p4.json", 4, [[1, 2], [2, 3], [3, 4]])
+
+    def fail(*args):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(f"tnrank.cli.{work}", fail)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "needs --out" in capsys.readouterr().err

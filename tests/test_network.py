@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tnrank import gallery
-from tnrank.graph import GraphError, cycle_graph, path_graph, star_graph
+from tnrank.graph import GraphError, complete_graph, cycle_graph, path_graph, star_graph
 from tnrank.network import (
     CPDecomposition,
     ProblemSpec,
@@ -190,17 +190,41 @@ def test_universal_embed_rejects_disconnected():
 
 
 def test_environment_is_linear_coupling():
-    spec = ProblemSpec(cycle_graph(3), (2, 2, 2), (3, 3, 3))
-    st = random_state(spec, 3)
-    t = contract_network(st)
-    for i in range(1, 4):
-        env = environment(spec.graph, st.factors, i)
-        bonds = tuple(spec.edge_dims[e - 1] for e in spec.graph.incident_edges(i))
-        a = env.reshape(-1, int(np.prod(bonds)))
-        x = st.factors[i - 1].data.reshape(int(np.prod(bonds)), spec.vertex_dims[i - 1])
-        rebuilt = (a @ x).reshape([spec.vertex_dims[j - 1] for j in range(1, 4) if j != i] + [spec.vertex_dims[i - 1]])
-        moved = np.moveaxis(t.data, i - 1, -1)
-        assert np.allclose(rebuilt, moved)
+    # One test id over all graphs; the name of a failing case is in the message.
+    k10 = complete_graph(10)
+    k10_bonds = tuple(2 if v == u + 1 or (u, v) == (1, 10) else 1 for u, v, _ in k10.edges)
+    p30_dims = tuple(2 if v in (1, 15, 30) else 1 for v in range(1, 31))
+    cases = [
+        ("C3", ProblemSpec(cycle_graph(3), (2, 2, 2), (3, 3, 3)), (1, 2, 3)),
+        # Leaving out an interior vertex disconnects the rest.
+        ("P4-cut-vertex", ProblemSpec(path_graph(4), (2, 3, 2), (2, 3, 2, 2)), (2, 3)),
+        ("star-centre", ProblemSpec(star_graph(4), (2, 3, 2), (3, 2, 2, 2)), (1,)),
+        ("K4", ProblemSpec(complete_graph(4), (2, 1, 2, 2, 1, 2), (2, 3, 2, 2)), (1, 2, 3, 4)),
+        # 55 and 59 labels: more than the 52 symbols einsum has.
+        ("K10", ProblemSpec(k10, k10_bonds, (2,) * 10), tuple(range(1, 11))),
+        ("P30", ProblemSpec(path_graph(30), (2,) * 29, p30_dims), tuple(range(1, 31))),
+    ]
+    for name, spec, vertices in cases:
+        st = random_state(spec, 3)
+        t = contract_network(st)
+        d = spec.graph.d
+        for i in vertices:
+            env = environment(spec.graph, st.factors, i)
+            bonds = tuple(spec.edge_dims[e - 1] for e in spec.graph.incident_edges(i))
+            others = [spec.vertex_dims[j - 1] for j in range(1, d + 1) if j != i]
+            assert env.shape == tuple(others) + bonds, (name, i)
+            a = env.reshape(-1, int(np.prod(bonds)))
+            x = st.factors[i - 1].data.reshape(int(np.prod(bonds)), spec.vertex_dims[i - 1])
+            rebuilt = (a @ x).reshape(others + [spec.vertex_dims[i - 1]])
+            moved = np.moveaxis(t.data, i - 1, -1)
+            assert np.linalg.norm(rebuilt - moved) <= 1e-12 * np.linalg.norm(moved), (name, i)
+
+
+def test_environment_of_a_lone_vertex_is_refused():
+    from tnrank.graph import NetworkGraph
+
+    with pytest.raises(GraphError, match="nothing to contract"):
+        environment(NetworkGraph(1, ()), [np.ones(3, dtype=complex)], 1)
 
 
 def test_cp_rank_bounds_tree_rank_componentwise():

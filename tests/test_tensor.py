@@ -11,7 +11,6 @@ from tnrank.tensor import (
     Tensor,
     add,
     basis_vector,
-    contract_pairs,
     exact_tensor,
     flatten,
     float_tensor,
@@ -53,34 +52,6 @@ def test_w3_from_three_outer_calls():
 def test_outer_mode_mismatch():
     with pytest.raises(ModeMismatchError):
         outer(exact_tensor([1, 0]), float_tensor([1, 0]))
-
-
-def test_contract_pairs_matrix_product():
-    m = float_tensor([[1, 2, 3], [4, 5, 6]])
-    n = float_tensor([[1, 0], [0, 1], [1, 1]])
-    prod = contract_pairs(m, n, [(2, 1)])
-    assert np.allclose(prod.data, m.data @ n.data)
-
-
-def test_contract_pairs_dot_product():
-    v = exact_tensor([1, 2, 3])
-    s = contract_pairs(v, v, [(1, 1)])
-    assert s.dims == ()
-    assert s.data[()] == GR(14)
-
-
-def test_contract_pairs_empty_is_outer():
-    a, b = exact_tensor([1, 2]), exact_tensor([3, 4])
-    assert tensors_equal(contract_pairs(a, b, []), outer(a, b))
-
-
-def test_contract_pairs_errors():
-    a = float_tensor(np.ones((2, 3)))
-    b = float_tensor(np.ones((4, 2)))
-    with pytest.raises(ValueError):
-        contract_pairs(a, b, [(2, 1)])  # extent mismatch 3 vs 4
-    with pytest.raises(ValueError):
-        contract_pairs(a, b, [(1, 2), (1, 1)])  # repeated mode
 
 
 def test_permute_identity_and_transpose():
