@@ -15,7 +15,7 @@ from . import gallery, geometry, io, verify
 from .fit import FitOptions, als_fit
 from .graph import GraphError, classify, edge_split, is_tree
 from .network import ProblemSpec, contract_network, universal_embed
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT, FLOAT, ModeMismatchError
 from .tensor import flatten
 from .tree_rank import ttns_decompose, ttns_rank
 
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (GraphError, ValueError, OSError, KeyError) as exc:
+    except (GraphError, ModeMismatchError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

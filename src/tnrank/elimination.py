@@ -13,14 +13,13 @@ uses singular values with a relative tolerance.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, as_exact
+from .scalars import GaussianRational, as_exact, clear_denominators
 
 
 class RankToleranceWarning(UserWarning):
@@ -44,40 +43,13 @@ def _cleared_rows(mat):
     otherwise rows of GaussianRational with integer components.  Row scaling
     changes neither the rank nor the reduced row echelon form.
     """
-    nrows, ncols = mat.shape
-    is_real = True
-    entries = []
-    dens = []
-    for i in range(nrows):
-        row = []
-        den = 1
-        for j in range(ncols):
-            g = mat[i, j]
-            if type(g) is not GaussianRational:
-                g = as_exact(g)
-            row.append(g)
-            if g.im:
-                is_real = False
-            rd = g.re.denominator
-            if rd != 1:
-                den = den * rd // math.gcd(den, rd)
-            imd = g.im.denominator
-            if imd != 1:
-                den = den * imd // math.gcd(den, imd)
-        entries.append(row)
-        dens.append(den)
-    out = []
-    for row, den in zip(entries, dens):
-        if is_real:
-            if den == 1:
-                out.append([g.re.numerator for g in row])
-            else:
-                out.append([int(g.re * den) for g in row])
-        elif den == 1:
-            out.append(row)
-        else:
-            out.append([GaussianRational(g.re * den, g.im * den) for g in row])
-    return out, is_real
+    cleared = [clear_denominators(row) for row in mat]
+    if all(im is None for _, im, _ in cleared):
+        return [re for re, _, _ in cleared], True
+    return [
+        [GaussianRational(a, b) for a, b in zip(re, [0] * len(re) if im is None else im)]
+        for re, im, _ in cleared
+    ], False
 
 
 def _bareiss(rows, is_real: bool, reduce: bool):

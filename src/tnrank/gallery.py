@@ -12,6 +12,7 @@ position (i-1)*b + j.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from .graph import NetworkGraph, cycle_graph, path_graph, star_graph
 from .network import CPDecomposition, TNState
 from .scalars import EXACT, GaussianRational
-from .tensor import Tensor, basis_vector
+from .tensor import Tensor, basis_vector, outer
 
 
 def _exact_array(shape):
@@ -221,12 +222,8 @@ def _symmetrize(vectors, signs: bool) -> Tensor:
     data = _exact_array((n,) * n)
     for sigma in itertools.permutations(range(n)):
         sgn = _perm_sign(sigma) if signs else 1
-        coeff = scale * sgn
-        term = None
-        for s in sigma:
-            v = vectors[s].data
-            term = v if term is None else np.tensordot(term, v, axes=0)
-        data = data + coeff * term
+        term = functools.reduce(outer, [vectors[s] for s in sigma])
+        data = data + (scale * sgn) * term.data
     return Tensor(data, EXACT)
 
 

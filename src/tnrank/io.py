@@ -9,6 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -35,9 +36,10 @@ def _entry_from_json(v, mode: str):
         else:
             re, im = v, 0
         return GaussianRational(parse_fraction(re), parse_fraction(im))
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+    c = complex(float(v[0]), float(v[1])) if isinstance(v, (list, tuple)) else complex(v)
+    if not cmath.isfinite(c):
+        raise ValueError(f"non-finite float entry {v!r}")
+    return c
 
 
 def tensor_to_json(t: Tensor) -> dict:
@@ -85,8 +87,14 @@ def tensor_from_json(doc: dict) -> Tensor:
             arr = np.full(dims, GaussianRational(0), dtype=object)
         else:
             arr = np.zeros(dims, dtype=np.complex128)
-        for item in doc["sparse"]:
+        seen = set()
+        for pos, item in enumerate(doc["sparse"]):
             idx = tuple(int(i) - 1 for i in item["idx"])
+            if len(idx) != len(dims) or not all(0 <= i < n for i, n in zip(idx, dims)):
+                raise ValueError(f"sparse[{pos}]: index {item['idx']} does not fit dims {list(dims)}")
+            if idx in seen:
+                raise ValueError(f"sparse[{pos}]: index {item['idx']} repeats an earlier entry")
+            seen.add(idx)
             arr[idx] = _entry_from_json([item["re"], item.get("im", 0)], mode)
         return Tensor(arr, mode)
     raise ValueError("tensor document needs a 'dense' or 'sparse' field")

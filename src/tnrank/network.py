@@ -8,7 +8,8 @@ never represented.
 
 One engine serves full contraction and the leave-one-out environments of ALS
 and the Jacobian: a greedy pairwise plan, cached per (graph, factor shapes,
-left-out vertex), replayed with ``np.tensordot`` on exact or float arrays.
+left-out vertex), replayed with ``np.tensordot`` on complex arrays, or on
+integer lanes in exact mode (storage stays ``GaussianRational``).
 The plan knows its largest tensor in advance, and a contraction above the
 size limit is refused before anything is allocated.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graph import GraphError, NetworkGraph, incident_weight_product, validate_rank_tuple
-from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode
+from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, from_lanes, to_lanes
 from .tensor import Tensor
 
 
@@ -208,8 +209,9 @@ def _plan(graph: NetworkGraph, shapes: tuple, omit: int | None):
 def _replay(graph: NetworkGraph, arrays, omit: int | None) -> np.ndarray:
     """Contract ``arrays`` (one per vertex) along the cached plan's steps.
 
-    Raises GraphError before any work when the plan would create a tensor
-    above ``_MAX_ENTRIES`` entries.
+    Object (exact) arrays are replayed on their integer lanes.  Raises
+    GraphError before any work when the plan would create a tensor above
+    ``_MAX_ENTRIES`` entries.
     """
     steps, slot, perm, largest = _plan(graph, tuple(a.shape for a in arrays), omit)
     if largest > _MAX_ENTRIES:
@@ -217,11 +219,13 @@ def _replay(graph: NetworkGraph, arrays, omit: int | None) -> np.ndarray:
             f"contraction would create a tensor of {largest} entries, "
             f"above the limit of {_MAX_ENTRIES}"
         )
-    work = list(arrays)
+    exact = any(x.dtype == object for x in arrays)
+    work = [to_lanes(x) for x in arrays] if exact else list(arrays)
+    dot = tz.lane_dot if exact else np.tensordot
     for a, b, axes in steps:
-        work.append(np.tensordot(work[a], work[b], axes=axes))
+        work.append(dot(work[a], work[b], axes))
         work[a] = work[b] = None
-    return np.transpose(work[slot], perm)
+    return np.transpose(from_lanes(*work[slot]) if exact else work[slot], perm)
 
 
 def contract_network(state: TNState) -> Tensor:

@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational scalars and the two scalar modes.
+"""Exact Gaussian-rational scalars, their integer lanes, and the two scalar modes.
 
 Every tensor in this package carries one of two scalar modes:
 
@@ -9,11 +9,23 @@ Every tensor in this package carries one of two scalar modes:
 
 Mixing modes in one operation is an error; conversion exact -> float is
 explicit via :meth:`GaussianRational.to_complex`.
+
+Exact tensors store :class:`GaussianRational` entries, but their products run
+on integer lanes: an exact array becomes ``(re, im, den)``, object arrays of
+Python ints over one shared positive denominator (the lcm of the entries'
+denominators), with ``im`` None when every entry is real.  :func:`to_lanes`
+and :func:`from_lanes` convert on the way in and out, and
+:func:`clear_denominators` is the one way denominators are cleared, shared
+with exact elimination.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
@@ -37,8 +49,8 @@ def check_same_mode(*modes: str) -> str:
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
-    Immutable; supports +, -, *, / (by nonzero), conjugation and exact
-    equality.  Interoperates with ``int`` and ``Fraction`` operands.
+    Immutable; supports +, -, *, / (by nonzero) and exact equality.
+    Interoperates with ``int`` and ``Fraction`` operands.
     """
 
     __slots__ = ("re", "im")
@@ -62,9 +74,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative fraction."""
@@ -160,6 +169,39 @@ def as_exact(x) -> GaussianRational:
     if g is None:
         raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
     return g
+
+
+def clear_denominators(entries):
+    """Integer numerators of exact scalars over their least common denominator.
+
+    Returns ``(re, im, den)``: lists of Python ints with ``entries[k] ==
+    (re[k] + i*im[k]) / den``, and ``im`` None when every entry is real.
+    """
+    gs = [g if type(g) is GaussianRational else as_exact(g) for g in entries]
+    den = math.lcm(*(x.denominator for g in gs for x in (g.re, g.im)))
+    re = [g.re.numerator * (den // g.re.denominator) for g in gs]
+    if not any(g.im for g in gs):
+        return re, None, den
+    return re, [g.im.numerator * (den // g.im.denominator) for g in gs], den
+
+
+def to_lanes(arr: np.ndarray):
+    """The integer lanes ``(re, im, den)`` of an array of exact scalars."""
+    re, im, den = clear_denominators(arr.reshape(-1))
+    re, im = (v if v is None else np.array(v, dtype=object).reshape(arr.shape) for v in (re, im))
+    return re, im, den
+
+
+def from_lanes(re, im, den) -> np.ndarray:
+    """The object array of GaussianRational that integer lanes stand for."""
+    re = np.asarray(re, dtype=object)  # a 0-d lane difference is a bare int
+    ims = itertools.repeat(0) if im is None else np.asarray(im, dtype=object).flat
+    out = np.empty(re.shape, dtype=object)
+    out.flat[:] = [
+        GaussianRational(Fraction(a, den), Fraction(b, den) if b else 0)
+        for a, b in zip(re.flat, ims)
+    ]
+    return out
 
 
 def parse_fraction(s) -> Fraction:

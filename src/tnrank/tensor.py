@@ -4,6 +4,11 @@ Tensors are immutable wrappers around numpy arrays: ``object`` dtype holding
 :class:`~tnrank.scalars.GaussianRational` entries in exact mode, complex128
 in float mode.  Mode numbers at the interface are 1-based; storage is
 row-major (the last index varies fastest).
+
+Exact products (``outer``, ``mlmul`` and the network contractions) convert
+their operands once to integer lanes (:func:`~tnrank.scalars.to_lanes`), run
+``np.tensordot`` on Python ints in :func:`lane_dot`, and convert the result
+back once; storage stays ``GaussianRational``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 
 from . import elimination
 from .scalars import EXACT, FLOAT, GaussianRational, as_exact, check_same_mode
+from .scalars import from_lanes, to_lanes
 
 
 class Tensor:
@@ -95,10 +101,29 @@ def basis_vector(n: int, k: int, mode: str = EXACT) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def lane_dot(a, b, axes):
+    """``np.tensordot`` of two exact arrays given as integer lanes ``(re, im, den)``.
+
+    Real lanes take one product; Gaussian lanes take the four of complex
+    multiplication, skipping the terms of a real operand.
+    """
+    (ar, ai, da), (br, bi, db) = a, b
+    re, im = np.tensordot(ar, br, axes), None
+    if ai is not None:
+        im = np.tensordot(ai, br, axes)
+        if bi is not None:
+            re = re - np.tensordot(ai, bi, axes)
+    if bi is not None:
+        t = np.tensordot(ar, bi, axes)
+        im = t if im is None else im + t
+    return re, im, da * db
+
+
 def outer(a: Tensor, b: Tensor) -> Tensor:
     """Tensor product; dims concatenate."""
-    mode = check_same_mode(a.mode, b.mode)
-    return Tensor(np.tensordot(a.data, b.data, axes=0), mode)
+    if check_same_mode(a.mode, b.mode) == FLOAT:
+        return Tensor(np.tensordot(a.data, b.data, axes=0), FLOAT)
+    return Tensor(from_lanes(*lane_dot(to_lanes(a.data), to_lanes(b.data), 0)), EXACT)
 
 
 def permute(a: Tensor, perm) -> Tensor:
@@ -147,16 +172,24 @@ def mlmul(a: Tensor, mats) -> Tensor:
     if len(mats) != a.order:
         raise ValueError(f"need {a.order} matrices, got {len(mats)}")
     mode = check_same_mode(a.mode, *[m.mode for m in mats])
-    data = a.data
     for i, m in enumerate(mats):
         if m.order != 2:
             raise ValueError("mlmul factors must be matrices")
-        if m.dims[1] != data.shape[i]:
+        if m.dims[1] != a.dims[i]:
             raise ValueError(
-                f"matrix {i + 1} has {m.dims[1]} columns, mode extent is {data.shape[i]}"
+                f"matrix {i + 1} has {m.dims[1]} columns, mode extent is {a.dims[i]}"
             )
-        data = np.moveaxis(np.tensordot(m.data, data, axes=(1, i)), 0, i)
-    return Tensor(data, mode)
+    if mode == FLOAT:
+        data = a.data
+        for i, m in enumerate(mats):
+            data = np.moveaxis(np.tensordot(m.data, data, axes=(1, i)), 0, i)
+        return Tensor(data, mode)
+    # Each product contracts the leading mode and appends its image last, so
+    # after all of them the modes are back in order.
+    lanes = to_lanes(a.data)
+    for m in mats:
+        lanes = lane_dot(lanes, to_lanes(m.data), (0, 1))
+    return Tensor(from_lanes(*lanes), mode)
 
 
 # ---------------------------------------------------------------------------

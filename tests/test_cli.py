@@ -165,6 +165,16 @@ def test_contract_refuses_oversized_plan(workdir, capsys):
     assert not (workdir / "t.json").exists()
 
 
+def test_contract_of_mixed_mode_state_is_an_error_line(workdir, capsys):
+    main(["gallery", "ghz", "--d", "3", "--what", "train", "--out", "state.json"])
+    doc = io.load("state.json")
+    doc["factors"][0] = io.tensor_to_json(io.tensor_from_json(doc["factors"][0]).to_float())
+    io.dump(doc, "mixed.json")
+    assert main(["contract", "mixed.json", "--out", "t.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "modes differ" in err
+
+
 @pytest.mark.parametrize(
     "argv, work",
     [(["contract", "state.json"], "contract_network"), (["decompose", "ghz4.json", "p4.json"], "ttns_decompose")],

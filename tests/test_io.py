@@ -92,3 +92,49 @@ def test_dump_is_deterministic(tmp_path):
     io.dump(doc, p1)
     io.dump(doc, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _sparse_doc(*idxs):
+    return {"dims": [2, 2], "scalar": "exact", "sparse": [{"idx": i, "re": "1"} for i in idxs]}
+
+
+def test_sparse_index_out_of_range_is_rejected():
+    # 0 used to wrap to the last row.
+    with pytest.raises(ValueError, match=r"sparse\[1\].*\[0, 1\]"):
+        io.tensor_from_json(_sparse_doc([1, 1], [0, 1]))
+    with pytest.raises(ValueError, match=r"sparse\[0\]"):
+        io.tensor_from_json(_sparse_doc([3, 1]))
+
+
+def test_sparse_index_of_wrong_arity_is_rejected():
+    # A short index used to fill a whole row.
+    with pytest.raises(ValueError, match=r"sparse\[0\].*\[2\]"):
+        io.tensor_from_json(_sparse_doc([2]))
+    with pytest.raises(ValueError, match=r"sparse\[0\]"):
+        io.tensor_from_json(_sparse_doc([1, 1, 1]))
+
+
+def test_duplicate_sparse_index_is_rejected():
+    # A repeat used to keep the last value silently.
+    with pytest.raises(ValueError, match=r"sparse\[2\].*repeats"):
+        io.tensor_from_json(_sparse_doc([1, 2], [2, 1], [1, 2]))
+
+
+@pytest.mark.parametrize("bad", [[float("nan"), 0.0], [0.0, float("inf")], "nan"])
+def test_non_finite_float_entry_is_rejected(bad):
+    doc = {"dims": [2], "scalar": "float", "dense": [[1.0, 0.0], bad]}
+    with pytest.raises(ValueError, match="non-finite"):
+        io.tensor_from_json(doc)
+    sparse = {"dims": [2], "scalar": "float", "sparse": [{"idx": [1], "re": "nan"}]}
+    with pytest.raises(ValueError, match="non-finite"):
+        io.tensor_from_json(sparse)
+
+
+def test_bad_sparse_index_is_an_error_line_in_the_cli(tmp_path, capsys):
+    from tnrank.cli import main
+
+    io.dump(_sparse_doc([1, 1], [0, 1]), tmp_path / "t.json")
+    io.dump({"d": 2, "edges": [[1, 2]]}, tmp_path / "p2.json")
+    assert main(["rank", str(tmp_path / "t.json"), str(tmp_path / "p2.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sparse[1]" in err

@@ -1,0 +1,140 @@
+"""Exact products on integer lanes against np.tensordot over GaussianRational."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from tnrank.graph import complete_graph, cycle_graph, path_graph, star_graph
+from tnrank.network import TNState, contract_network, environment
+from tnrank.scalars import GaussianRational as GR
+from tnrank.scalars import as_exact, from_lanes, to_lanes
+from tnrank.tensor import Tensor, exact_tensor, lane_dot, mlmul, outer
+from tnrank.tree_rank import ttns_decompose
+
+KINDS = ("plain", "int", "rational", "gaussian")
+GRAPHS = (path_graph(3), cycle_graph(3), star_graph(4), complete_graph(4))
+SETTINGS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+
+
+def _entries(rng, shape, kind):
+    """Object array of small exact scalars; "plain" entries are bare ints."""
+
+    def one():
+        a = int(rng.integers(-3, 4))
+        if kind == "plain":
+            return a
+        if kind == "int":
+            return GR(a)
+        q = Fraction(a, int(rng.integers(1, 5)))
+        if kind == "rational":
+            return GR(q)
+        return GR(q, Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))))
+
+    arr = np.empty(int(np.prod(shape, dtype=np.int64)), dtype=object)
+    arr[:] = [one() for _ in range(arr.size)]
+    return arr.reshape(shape)
+
+
+def _reference(graph, arrays, omit=None):
+    """Contract vertex by vertex with np.tensordot on the arrays as given."""
+    out, labels = None, []
+    for v in range(1, graph.d + 1):
+        if v == omit:
+            continue
+        lab = [("bond", e) for e in graph.incident_edges(v)] + [("phys", v)]
+        if out is None:
+            out, labels = arrays[v - 1], lab
+            continue
+        shared = [l for l in labels if l in lab]
+        axes = ([labels.index(l) for l in shared], [lab.index(l) for l in shared])
+        out = np.tensordot(out, arrays[v - 1], axes=axes)
+        labels = [l for l in labels if l not in shared] + [l for l in lab if l not in shared]
+    want = [("phys", v) for v in range(1, graph.d + 1) if v != omit]
+    if omit is not None:
+        want += [("bond", e) for e in graph.incident_edges(omit)]
+    return np.transpose(out, [labels.index(l) for l in want])
+
+
+def _assert_same(got, ref):
+    got, ref = np.asarray(got, dtype=object), np.asarray(ref, dtype=object)
+    assert got.shape == ref.shape
+    assert all(type(x) is GR for x in got.flat)
+    assert all(x == as_exact(y) for x, y in zip(got.flat, ref.flat))
+
+
+@SETTINGS
+@given(
+    graph=st.sampled_from(GRAPHS),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=4, max_size=4),
+    bond=st.integers(0, 2),
+    phys=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+@example(graph=GRAPHS[1], kinds=["plain", "gaussian", "rational", "int"], bond=0, phys=1, seed=1)
+@example(graph=GRAPHS[2], kinds=["gaussian", "plain", "int", "gaussian"], bond=2, phys=0, seed=2)
+def test_contraction_and_environments_match_tensordot(graph, kinds, bond, phys, seed):
+    # A zero bond or a zero physical extent puts a zero-extent axis in the replay.
+    rng = np.random.default_rng(seed)
+    edge_dims = tuple(bond if e == 1 else 2 for e in range(1, graph.c + 1))
+    vertex_dims = (phys,) + (2,) * (graph.d - 1)
+    arrays = []
+    for i in range(1, graph.d + 1):
+        shape = tuple(edge_dims[e - 1] for e in graph.incident_edges(i)) + (vertex_dims[i - 1],)
+        arrays.append(_entries(rng, shape, kinds[i - 1]))
+    state = TNState(graph, edge_dims, vertex_dims, tuple(Tensor(a, "exact") for a in arrays))
+    _assert_same(contract_network(state).data, _reference(graph, arrays))
+    for i in range(1, graph.d + 1):
+        _assert_same(environment(graph, state.factors, i), _reference(graph, arrays, i))
+
+
+@SETTINGS
+@given(
+    dims=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    rows=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_mlmul_matches_tensordot(dims, rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    data = _entries(rng, tuple(dims), kinds[0])
+    mats = [_entries(rng, (rows[i], n), kinds[i + 1]) for i, n in enumerate(dims)]
+    ref = data
+    for i, m in enumerate(mats):
+        ref = np.moveaxis(np.tensordot(m, ref, axes=(1, i)), 0, i)
+    got = mlmul(Tensor(data, "exact"), [Tensor(m, "exact") for m in mats])
+    _assert_same(got.data, ref)
+
+
+@SETTINGS
+@given(
+    dims=st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=2, max_size=2),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=[[], []], kinds=["gaussian", "gaussian"], seed=3)
+@example(dims=[[2, 0], [3]], kinds=["plain", "rational"], seed=4)
+def test_outer_and_full_contraction_match_tensordot(dims, kinds, seed):
+    # Empty dims give 0-d operands; a full contraction gives a 0-d result.
+    rng = np.random.default_rng(seed)
+    a, b = (_entries(rng, tuple(d), k) for d, k in zip(dims, kinds))
+    _assert_same(outer(Tensor(a, "exact"), Tensor(b, "exact")).data, np.tensordot(a, b, axes=0))
+    c = _entries(rng, a.shape, kinds[1])
+    full = lane_dot(to_lanes(a), to_lanes(c), a.ndim)
+    _assert_same(from_lanes(*full), np.tensordot(a, c, axes=a.ndim))
+
+
+def test_lanes_round_trip_and_share_one_denominator():
+    arr = np.array([GR(Fraction(1, 2)), GR(Fraction(-2, 3), Fraction(1, 4)), 5], dtype=object)
+    re, im, den = to_lanes(arr)
+    assert (list(re), list(im), den) == ([6, -8, 60], [0, 3, 0], 12)
+    assert list(from_lanes(re, im, den)) == [arr[0], arr[1], GR(5)]
+    assert to_lanes(exact_tensor([1, Fraction(1, 3)]).data)[1] is None
+
+
+def test_decompose_then_contract_reproduces_a_complex_tensor():
+    rng = np.random.default_rng(7)
+    t = Tensor(_entries(rng, (2, 3, 2, 2), "gaussian"), "exact")
+    for g in (path_graph(4), star_graph(4)):
+        back = contract_network(ttns_decompose(t, g))
+        _assert_same(back.data, t.data)
