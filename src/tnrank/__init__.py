@@ -7,14 +7,10 @@ from .tensor import (
     basis_vector,
     exact_tensor,
     flatten,
-    float_tensor,
-    frobenius_norm,
     is_zero,
     matrix_rank,
     mlmul,
     outer,
-    permute,
-    relative_error,
     scale,
     tensors_equal,
     zeros,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: rank, decompose, contract, embed, dim, gallery, fit, verify.
-All commands are reproducible bit for bit given identical inputs and
-``--seed``.
+Each subcommand takes only the flags it reads.  Every command is
+reproducible bit for bit given identical inputs; for ``fit`` that includes
+``--seed``, for ``dim`` ``--seeds``.
 """
 
 from __future__ import annotations
@@ -33,49 +34,42 @@ def _load_tensor(path, mode: str | None):
     raise ValueError("cannot convert a float tensor to exact mode")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=[EXACT, FLOAT], default=None,
-                   help="convert the input tensor to this scalar mode")
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative rank tolerance (float mode)")
-    p.add_argument("--seed", type=int, default=0)
+def _subcommand(sub, name: str, run, summary: str, *positionals: str) -> argparse.ArgumentParser:
+    """A subparser with its positionals and ``--out``, dispatching to ``run``."""
+    p = sub.add_parser(name, help=summary)
+    for arg in positionals:
+        p.add_argument(arg)
     p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--trace", action="store_true")
+    p.set_defaults(run=run)
+    return p
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="tnrank", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("rank", help="rank tuple of a tensor on a tree graph")
-    p.add_argument("tensor")
-    p.add_argument("graph")
-    _add_common(p)
+    for name, run, summary in (
+        ("rank", _cmd_rank, "rank tuple of a tensor on a tree graph"),
+        ("decompose", _cmd_decompose, "decompose a tensor into a tree state"),
+    ):
+        p = _subcommand(sub, name, run, summary, "tensor", "graph")
+        p.add_argument("--mode", choices=[EXACT, FLOAT], default=None,
+                       help="convert the input tensor to this scalar mode")
+        p.add_argument("--tol", type=float, default=None,
+                       help="relative rank tolerance (float mode)")
 
-    p = sub.add_parser("decompose", help="decompose a tensor into a tree state")
-    p.add_argument("tensor")
-    p.add_argument("graph")
-    _add_common(p)
+    _subcommand(sub, "contract", _cmd_contract, "contract a state file to a tensor", "state")
+    _subcommand(sub, "embed", _cmd_embed, "embed a CP decomposition on a graph", "cp", "graph")
 
-    p = sub.add_parser("contract", help="contract a state file to a tensor")
-    p.add_argument("state")
-    _add_common(p)
-
-    p = sub.add_parser("embed", help="embed a CP decomposition on a graph")
-    p.add_argument("cp")
-    p.add_argument("graph")
-    _add_common(p)
-
-    p = sub.add_parser("dim", help="dimension report: formulas vs Jacobian oracle")
+    p = _subcommand(sub, "dim", _cmd_dim, "dimension report: formulas vs Jacobian oracle")
     p.add_argument("--graph", required=False)
     p.add_argument("--edge-dims", type=_int_tuple, default=None)
     p.add_argument("--vertex-dims", type=_int_tuple, default=None)
     p.add_argument("--seeds", type=_int_tuple, default=(0, 1, 2))
     p.add_argument("--matmul-params", type=int, default=None, metavar="N",
                    help="emit the parameter-count report for the N x N matrix product instead")
-    _add_common(p)
 
-    p = sub.add_parser("gallery", help="emit a named fixture")
+    p = _subcommand(sub, "gallery", _cmd_gallery, "emit a named fixture")
     p.add_argument("name", choices=["w", "ghz", "strassen", "sym", "skew", "monomial", "border"])
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=2)
@@ -83,48 +77,27 @@ def main(argv=None) -> int:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--exponents", type=_int_tuple, default=(2, 1))
     p.add_argument("--what", choices=["tensor", "cp", "train", "ring", "star"], default="tensor")
-    _add_common(p)
 
-    p = sub.add_parser("fit", help="alternating least squares fit on any connected graph")
-    p.add_argument("tensor")
+    p = _subcommand(sub, "fit", _cmd_fit, "alternating least squares fit on any connected graph",
+                    "tensor")
     p.add_argument("--graph", required=True)
     p.add_argument("--edge-dims", type=_int_tuple, required=True)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random restarts")
+    p.add_argument("--trace", action="store_true", help="report each restart's residual history")
     p.add_argument("--out-state", default=None)
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="run the claim suite")
+    p = _subcommand(sub, "verify", _cmd_verify, "run the claim suite")
     p.add_argument("--filter", default=None)
-    _add_common(p)
 
     args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
-    except (GraphError, ModeMismatchError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.run(args)
+    except (GraphError, ModeMismatchError, ValueError, OSError, KeyError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.cmd == "rank":
-        return _cmd_rank(args)
-    if args.cmd == "decompose":
-        return _cmd_decompose(args)
-    if args.cmd == "contract":
-        return _cmd_contract(args)
-    if args.cmd == "embed":
-        return _cmd_embed(args)
-    if args.cmd == "dim":
-        return _cmd_dim(args)
-    if args.cmd == "gallery":
-        return _cmd_gallery(args)
-    if args.cmd == "fit":
-        return _cmd_fit(args)
-    if args.cmd == "verify":
-        return _cmd_verify(args)
-    raise ValueError(f"unknown command {args.cmd}")
 
 
 def _cmd_rank(args) -> int:
@@ -271,9 +244,7 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    t = _load_tensor(args.tensor, args.mode or FLOAT)
-    if t.mode != FLOAT:
-        t = t.to_float()
+    t = io.tensor_from_json(io.load(args.tensor)).to_float()
     g = io.graph_from_json(io.load(args.graph))
     spec = ProblemSpec(g, args.edge_dims, t.dims)
     opts = FitOptions(

@@ -10,7 +10,7 @@ closure of the state set but not in the set itself.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,11 +34,6 @@ class FitOptions:
             raise ValueError("max_iters and restarts must be positive")
         if self.convergence_tol < 0 or self.ridge < 0:
             raise ValueError("tolerances must be nonnegative")
-
-    def replace(self, **kw) -> "FitOptions":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ def border_probe(
     result = None
     for target in targets:
         while True:
-            result = als_fit(t, spec, opts.replace(max_iters=iters))
+            result = als_fit(t, spec, replace(opts, max_iters=iters))
             if result.relative_residual <= target or escalations_left == 0:
                 break
             iters *= 2

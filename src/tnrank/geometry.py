@@ -87,17 +87,6 @@ def dim_mps_formula(r, n) -> int:
     return total
 
 
-def dim_subspace_formula(r, n) -> int:
-    """Dimension of the subspace variety of mode ranks ``r`` inside dims ``n``."""
-    r = tuple(int(x) for x in r)
-    n = tuple(int(x) for x in n)
-    if len(r) != len(n):
-        raise ValueError("rank and dimension tuples differ in length")
-    if any(a > b for a, b in zip(r, n)):
-        raise ValueError(f"mode ranks {r} exceed dims {n}")
-    return sum(a * (b - a) for a, b in zip(r, n)) + int(np.prod(r, dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # Jacobian oracle
 # ---------------------------------------------------------------------------

@@ -65,7 +65,15 @@ def tensor_to_json(t: Tensor) -> dict:
     return doc
 
 
+_TENSOR_KEYS = frozenset({"dims", "scalar", "dense", "sparse"})
+_SPARSE_ENTRY_KEYS = frozenset({"idx", "re", "im"})
+
+
 def tensor_from_json(doc: dict) -> Tensor:
+    if not doc.keys() <= _TENSOR_KEYS:
+        raise ValueError(f"unknown tensor document keys {sorted(doc.keys() - _TENSOR_KEYS)}")
+    if "dense" in doc and "sparse" in doc:
+        raise ValueError("tensor document holds both 'dense' and 'sparse' entries")
     dims = tuple(int(x) for x in doc["dims"])
     mode = doc["scalar"]
     if mode not in (EXACT, FLOAT):
@@ -89,6 +97,8 @@ def tensor_from_json(doc: dict) -> Tensor:
             arr = np.zeros(dims, dtype=np.complex128)
         seen = set()
         for pos, item in enumerate(doc["sparse"]):
+            if not item.keys() <= _SPARSE_ENTRY_KEYS:
+                raise ValueError(f"sparse[{pos}]: unknown keys {sorted(item.keys() - _SPARSE_ENTRY_KEYS)}")
             idx = tuple(int(i) - 1 for i in item["idx"])
             if len(idx) != len(dims) or not all(0 <= i < n for i, n in zip(idx, dims)):
                 raise ValueError(f"sparse[{pos}]: index {item['idx']} does not fit dims {list(dims)}")

@@ -5,15 +5,14 @@ Tensors are immutable wrappers around numpy arrays: ``object`` dtype holding
 in float mode.  Mode numbers at the interface are 1-based; storage is
 row-major (the last index varies fastest).
 
-Exact products (``outer``, ``mlmul`` and the network contractions) convert
-their operands once to integer lanes (:func:`~tnrank.scalars.to_lanes`), run
-``np.tensordot`` on Python ints in :func:`lane_dot`, and convert the result
-back once; storage stays ``GaussianRational``.
+Exact products (``outer``, ``scale``, ``mlmul`` and the network
+contractions) convert their operands once to integer lanes
+(:func:`~tnrank.scalars.to_lanes`), run ``np.tensordot`` on Python ints in
+:func:`lane_dot`, and convert the result back once; storage stays
+``GaussianRational``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,10 +73,6 @@ def exact_tensor(values) -> Tensor:
     return Tensor(arr, EXACT)
 
 
-def float_tensor(values) -> Tensor:
-    return Tensor(np.asarray(values, dtype=np.complex128), FLOAT)
-
-
 def zeros(dims, mode: str) -> Tensor:
     if mode == EXACT:
         arr = np.full(tuple(dims), GaussianRational(0), dtype=object)
@@ -124,17 +119,6 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
     if check_same_mode(a.mode, b.mode) == FLOAT:
         return Tensor(np.tensordot(a.data, b.data, axes=0), FLOAT)
     return Tensor(from_lanes(*lane_dot(to_lanes(a.data), to_lanes(b.data), 0)), EXACT)
-
-
-def permute(a: Tensor, perm) -> Tensor:
-    """Relabel modes: result mode ``perm[k]`` is old mode ``k`` (1-based)."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(1, a.order + 1)):
-        raise ValueError(f"invalid permutation {perm} for order {a.order}")
-    axes = [0] * a.order
-    for old, new in enumerate(perm):
-        axes[new - 1] = old
-    return Tensor(np.transpose(a.data, axes), a.mode)
 
 
 def flatten(a: Tensor, row_modes) -> Tensor:
@@ -193,7 +177,7 @@ def mlmul(a: Tensor, mats) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# comparisons and norms
+# comparisons and elementwise arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -213,43 +197,10 @@ def is_zero(a: Tensor) -> bool:
     return all(not as_exact(x) for x in a.data.reshape(-1))
 
 
-def norm_squared_exact(a: Tensor) -> Fraction:
-    """Exact squared Frobenius norm (sum of squared moduli)."""
-    if a.mode != EXACT:
-        raise ValueError("norm_squared_exact needs an exact tensor")
-    total = Fraction(0)
-    for x in a.data.reshape(-1):
-        total += as_exact(x).abs2()
-    return total
-
-
-def frobenius_norm(a: Tensor) -> float:
-    if a.mode == EXACT:
-        import math
-
-        return math.sqrt(float(norm_squared_exact(a)))
-    return float(np.linalg.norm(a.data.reshape(-1)))
-
-
-def relative_error(approx: Tensor, target: Tensor) -> float:
-    """``|approx - target|_F / |target|_F`` after float conversion."""
-    ta = approx.to_float().data
-    tb = target.to_float().data
-    denom = np.linalg.norm(tb.reshape(-1))
-    if denom == 0.0:
-        return float(np.linalg.norm(ta.reshape(-1)))
-    return float(np.linalg.norm((ta - tb).reshape(-1)) / denom)
-
-
 def scale(a: Tensor, c) -> Tensor:
     """Multiply every entry by the scalar ``c`` (mode-appropriate)."""
     if a.mode == EXACT:
-        g = as_exact(c)
-        out = np.empty(a.dims, dtype=object)
-        of, af = out.reshape(-1), a.data.reshape(-1)
-        for i in range(af.size):
-            of[i] = g * as_exact(af[i])
-        return Tensor(out, EXACT)
+        return outer(a, Tensor(np.array(as_exact(c), dtype=object), EXACT))
     return Tensor(a.data * complex(c), FLOAT)
 
 

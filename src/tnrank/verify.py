@@ -23,7 +23,15 @@ from .graph import (
     path_graph,
     star_graph,
 )
-from .network import ProblemSpec, TNState, contract_network, random_state, universal_embed
+from .network import (
+    ProblemSpec,
+    TNState,
+    contract_network,
+    random_state,
+    reduce_degree_one,
+    remove_unit_edges,
+    universal_embed,
+)
 from .scalars import FLOAT
 from .tensor import Tensor, exact_tensor, matrix_rank, mlmul, scale, tensors_equal
 from .tree_rank import (
@@ -50,6 +58,9 @@ class Claim:
 
 
 _REGISTRY: list[Claim] = []
+
+# Results shared between claims, valid for one ``run_claims`` call only.
+_run_cache: dict | None = None
 
 
 def _claim(cid: str, gated: bool = True):
@@ -149,29 +160,21 @@ for _d in (3, 4, 5, 6):
 # ---------------------------------------------------------------------------
 
 
-@_claim("generic-tt-rank-2x2x2x2")
-def _generic_p4() -> dict:
-    expected = (2, 4, 2)
-    results = []
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
-        results.append(ttns_rank(Tensor(data, FLOAT), path_graph(4)))
-    ok = all(r == expected for r in results)
-    return _record(ok, list(expected), [list(r) for r in results])
-
-
-@_claim("generic-star-rank-3x2x2x2")
-def _generic_star() -> dict:
-    dims = (3, 2, 2, 2)
-    expected = (2, 2, 2)  # the leaf dimensions
+def _generic_rank(dims, graph, expected) -> dict:
     results = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
         data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-        results.append(ttns_rank(Tensor(data, FLOAT), star_graph(4)))
+        results.append(ttns_rank(Tensor(data, FLOAT), graph))
     ok = all(r == expected for r in results)
     return _record(ok, list(expected), [list(r) for r in results])
+
+
+for _cid, _dims, _graph, _expected in (
+    ("generic-tt-rank-2x2x2x2", (2, 2, 2, 2), path_graph(4), (2, 4, 2)),
+    ("generic-star-rank-3x2x2x2", (3, 2, 2, 2), star_graph(4), (2, 2, 2)),  # the leaf dimensions
+):
+    _claim(_cid)(lambda dims=_dims, g=_graph, e=_expected: _generic_rank(dims, g, e))
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +335,18 @@ def _tree_properties() -> dict:
 
 @_claim("reduction-degree-one-p3")
 def _reduction_p3() -> dict:
-    # (P_3; 2,2; 2,3,2) with n_1 <= r_1 reduces to (P_2; 2; 6,2).
+    # (P_3; 2,2; 2,3,2) with n_1 <= r_1 reduces to (P_2; 2; 6,2): vertex 1
+    # merges into vertex 2, its index the slow one, so the modes reshape.
     orig = ProblemSpec(path_graph(3), (2, 2), (2, 3, 2))
-    red = ProblemSpec(path_graph(2), (2,), (6, 2))
+    red, _ = reduce_degree_one(orig)
     agree = 0
     for seed in range(100):
         t = contract_network(random_state(orig, seed))
-        merged = Tensor(t.data.reshape(6, 2), FLOAT)
-        fwd = matrix_rank(merged) <= 2  # membership in the reduced spec
+        merged = Tensor(t.data.reshape(red.vertex_dims), FLOAT)
+        fwd = matrix_rank(merged) <= red.edge_dims[0]  # membership in the reduced spec
 
         t2 = contract_network(random_state(red, 10_000 + seed))
-        split = Tensor(t2.data.reshape(2, 3, 2), FLOAT)
+        split = Tensor(t2.data.reshape(orig.vertex_dims), FLOAT)
         back = tree_membership(split, orig.graph, orig.edge_dims)
         agree += fwd and back
     return _record(agree == 100, 100, agree)
@@ -350,9 +354,10 @@ def _reduction_p3() -> dict:
 
 @_claim("reduction-unit-edge-c3")
 def _reduction_unit_edge() -> dict:
-    # (C_3; 2,2,1; 2,4,2): dropping the bond-one edge {1,3} leaves P_3.
+    # (C_3; 2,2,1; 2,4,2): dropping the bond-one edge {1,3} leaves P_3; a
+    # path factor lifts to the cycle by a unit axis for the dropped bond.
     cyc = ProblemSpec(cycle_graph(3), (2, 2, 1), (2, 4, 2))
-    pat = ProblemSpec(path_graph(3), (2, 2), (2, 4, 2))
+    pat, _ = remove_unit_edges(cyc)
     agree = 0
     for seed in range(100):
         t = contract_network(random_state(cyc, seed))
@@ -363,10 +368,9 @@ def _reduction_unit_edge() -> dict:
             cyc.graph,
             cyc.edge_dims,
             cyc.vertex_dims,
-            (
-                Tensor(st.factors[0].data.reshape(2, 1, 2), FLOAT),
-                st.factors[1],
-                Tensor(st.factors[2].data.reshape(2, 1, 2), FLOAT),
+            tuple(
+                Tensor(f.data.reshape(cyc.factor_shape(i)), FLOAT)
+                for i, f in enumerate(st.factors, start=1)
             ),
         )
         back = np.allclose(
@@ -395,27 +399,43 @@ def _critical_path_specs(max_d=4, max_dim=4, max_params=2000):
                     yield spec
 
 
+def _dims_tt_rows():
+    """``(edge dims, vertex dims, printed, alt, Jacobian rank)`` for every
+    critical path spec.
+
+    Both ``dims-tt-*`` claims read these rows; inside ``run_claims`` they are
+    computed at most once.  Rows keep the dims, not the spec, so the cache
+    holds no graphs.
+    """
+    if _run_cache is not None and "dims-tt" in _run_cache:
+        return _run_cache["dims-tt"]
+    rows = [
+        (
+            list(spec.edge_dims),
+            list(spec.vertex_dims),
+            geometry.dim_tt_formula(spec.edge_dims, spec.vertex_dims, "printed"),
+            geometry.dim_tt_formula(spec.edge_dims, spec.vertex_dims, "alt"),
+            geometry.jacobian_dimension(spec, (0, 1, 2)),
+        )
+        for spec in _critical_path_specs()
+    ]
+    if _run_cache is not None:
+        _run_cache["dims-tt"] = rows
+    return rows
+
+
 @_claim("dims-tt-formula-vs-jacobian")
 def _dims_tt() -> dict:
-    mismatches = []
-    checked = 0
-    for spec in _critical_path_specs():
-        formula = geometry.dim_tt_formula(spec.edge_dims, spec.vertex_dims, "printed")
-        est = geometry.jacobian_dimension(spec, (0, 1, 2))
-        checked += 1
-        if formula != est:
-            mismatches.append(
-                {
-                    "edge_dims": list(spec.edge_dims),
-                    "vertex_dims": list(spec.vertex_dims),
-                    "formula": formula,
-                    "jacobian": est,
-                }
-            )
+    rows = _dims_tt_rows()
+    mismatches = [
+        {"edge_dims": r, "vertex_dims": n, "formula": printed, "jacobian": est}
+        for r, n, printed, _, est in rows
+        if printed != est
+    ]
     return _record(
         not mismatches,
-        {"specs_checked": checked, "mismatches": 0},
-        {"specs_checked": checked, "mismatches": len(mismatches)},
+        {"specs_checked": len(rows), "mismatches": 0},
+        {"specs_checked": len(rows), "mismatches": len(mismatches)},
         detail="" if not mismatches else f"first: {mismatches[:3]}",
     )
 
@@ -423,26 +443,20 @@ def _dims_tt() -> dict:
 @_claim("dims-tt-alt-index-reading", gated=False)
 def _dims_tt_alt() -> dict:
     # The alternate (d-j+1) reading of the ambiguous index, against the oracle.
-    disagreements = 0
-    checked = 0
-    example = None
-    for spec in _critical_path_specs():
-        alt = geometry.dim_tt_formula(spec.edge_dims, spec.vertex_dims, "alt")
-        est = geometry.jacobian_dimension(spec, (0, 1, 2))
-        checked += 1
-        if alt != est:
-            disagreements += 1
-            if example is None:
-                example = {
-                    "edge_dims": list(spec.edge_dims),
-                    "vertex_dims": list(spec.vertex_dims),
-                    "alt_reading": alt,
-                    "jacobian": est,
-                }
+    rows = _dims_tt_rows()
+    misses = [
+        {"edge_dims": r, "vertex_dims": n, "alt_reading": alt, "jacobian": est}
+        for r, n, _, alt, est in rows
+        if alt != est
+    ]
     return _record(
         True,
         "comparison of the alternate index reading against the oracle",
-        {"specs_checked": checked, "alt_reading_mismatches": disagreements, "example": example},
+        {
+            "specs_checked": len(rows),
+            "alt_reading_mismatches": len(misses),
+            "example": misses[0] if misses else None,
+        },
         detail="the as-printed (d-j-1) reading is the one that matches the oracle",
     )
 
@@ -469,32 +483,20 @@ def _dims_mps_conflict() -> dict:
     )
 
 
-@_claim("parameter-report-n2")
-def _param_report_2() -> dict:
-    rep = geometry.parameter_report(2)
-    expected = {"ring_dim": 36, "train_dim": 64, "subspace_dim": 64, "ring_needs_fewest": True}
-    computed = {
-        "ring_dim": rep.ring_dim,
-        "train_dim": rep.train_dim,
-        "subspace_dim": rep.subspace_dim,
-        "ring_needs_fewest": rep.ring_needs_fewest,
-    }
-    ok = all(computed[k] == v for k, v in expected.items())
-    return _record(ok, expected, computed, detail=f"secant lower bound {rep.secant_dim_lower_bound:.3f}")
+def _param_report(n: int, expected: dict) -> dict:
+    rep = geometry.parameter_report(n)
+    computed = {k: getattr(rep, k) for k in expected}
+    return _record(
+        computed == expected, expected, computed,
+        detail=f"secant lower bound {rep.secant_dim_lower_bound:.3f}",
+    )
 
 
-@_claim("parameter-report-n3")
-def _param_report_3() -> dict:
-    rep = geometry.parameter_report(3)
-    expected = {"ring_dim": 216, "train_dim": 729, "subspace_dim": 729, "ring_needs_fewest": True}
-    computed = {
-        "ring_dim": rep.ring_dim,
-        "train_dim": rep.train_dim,
-        "subspace_dim": rep.subspace_dim,
-        "ring_needs_fewest": rep.ring_needs_fewest,
-    }
-    ok = all(computed[k] == v for k, v in expected.items())
-    return _record(ok, expected, computed, detail=f"secant lower bound {rep.secant_dim_lower_bound:.3f}")
+for _n, _expected in (
+    (2, {"ring_dim": 36, "train_dim": 64, "subspace_dim": 64, "ring_needs_fewest": True}),
+    (3, {"ring_dim": 216, "train_dim": 729, "subspace_dim": 729, "ring_needs_fewest": True}),
+):
+    _claim(f"parameter-report-n{_n}")(lambda n=_n, e=_expected: _param_report(n, e))
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +534,20 @@ def _als_w3() -> dict:
 # ---------------------------------------------------------------------------
 
 _BORDER_TARGETS = (0.1, 0.05, 0.02)
+_BORDER_SPEC = ProblemSpec(cycle_graph(3), (2, 2, 2), (4, 4, 4))
 
 
-@_claim("border-probe-c3", gated=False)
-def _border_demo() -> dict:
-    t = gallery.border_example(3, 2).to_float()
-    spec = ProblemSpec(cycle_graph(3), (2, 2, 2), (4, 4, 4))
+def _border_claim(target, shape: str, holds) -> dict:
+    """Probe ``target()``; ``holds`` judges the magnitudes, ``shape`` names that."""
     rep = border_probe(
-        t, spec, _BORDER_TARGETS, FitOptions(restarts=BORDER_RESTARTS, seed=BORDER_SEED, max_iters=1)
+        target(), _BORDER_SPEC, _BORDER_TARGETS,
+        FitOptions(restarts=BORDER_RESTARTS, seed=BORDER_SEED, max_iters=1),
     )
     mags = [s.max_factor_magnitude for s in rep.steps]
-    ok = all(s.met for s in rep.steps) and mags[0] < mags[1] < mags[2]
+    ok = all(s.met for s in rep.steps) and holds(mags)
     return _record(
         ok,
-        {"targets_met": True, "magnitudes_strictly_increasing": True},
+        {"targets_met": True, shape: True},
         {
             "steps": [
                 {"target": s.target, "achieved": round(s.achieved, 6), "magnitude": round(s.max_factor_magnitude, 6)}
@@ -555,25 +557,21 @@ def _border_demo() -> dict:
     )
 
 
-@_claim("border-probe-control", gated=False)
-def _border_control() -> dict:
-    spec = ProblemSpec(cycle_graph(3), (2, 2, 2), (4, 4, 4))
-    t = contract_network(random_state(spec, CONTROL_TARGET_SEED))
-    rep = border_probe(
-        t, spec, _BORDER_TARGETS, FitOptions(restarts=BORDER_RESTARTS, seed=BORDER_SEED, max_iters=1)
-    )
-    mags = [s.max_factor_magnitude for s in rep.steps]
-    ok = all(s.met for s in rep.steps) and max(mags) < 50.0
-    return _record(
-        ok,
-        {"targets_met": True, "magnitudes_bounded": True},
-        {
-            "steps": [
-                {"target": s.target, "achieved": round(s.achieved, 6), "magnitude": round(s.max_factor_magnitude, 6)}
-                for s in rep.steps
-            ]
-        },
-    )
+for _cid, _target, _shape, _holds in (
+    (
+        "border-probe-c3",
+        lambda: gallery.border_example(3, 2).to_float(),
+        "magnitudes_strictly_increasing",
+        lambda m: m[0] < m[1] < m[2],
+    ),
+    (
+        "border-probe-control",
+        lambda: contract_network(random_state(_BORDER_SPEC, CONTROL_TARGET_SEED)),
+        "magnitudes_bounded",
+        lambda m: max(m) < 50.0,
+    ),
+):
+    _claim(_cid, gated=False)(lambda t=_target, s=_shape, h=_holds: _border_claim(t, s, h))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +605,12 @@ def run_claims(filter_substr: str | None = None) -> list[dict]:
             "detail": result.get("detail", ""),
         }
 
-    return [run_one(c) for c in claims(filter_substr)]
+    global _run_cache
+    _run_cache = {}
+    try:
+        return [run_one(c) for c in claims(filter_substr)]
+    finally:
+        _run_cache = None
 
 
 def all_gated_pass(records) -> bool:

@@ -76,6 +76,55 @@ def test_criterion_13_border_demonstration():
     _run("border-probe-", "criterion 13 (finding): border targets met with growing factor entries")
 
 
+# The registry, pinned: how claims are registered may change, but not their
+# ids or which of them gate the verify exit code.
+GATED_CLAIMS = (
+    "als-ghz3-c3-122", "als-refit-c3", "als-w3-best-rank-one",
+    "c3-strassen-222", "c3-strassen-232", "c3-strassen-333",
+    "dims-tt-formula-vs-jacobian",
+    "generic-star-rank-3x2x2x2", "generic-tt-rank-2x2x2x2",
+    "mrank-strassen-222", "mrank-strassen-232", "mrank-strassen-333",
+    "parameter-report-n2", "parameter-report-n3",
+    "reduction-degree-one-p3", "reduction-unit-edge-c3",
+    "ring-construction-ghz-d3", "ring-construction-ghz-d4",
+    "ring-construction-ghz-d5", "ring-construction-ghz-d6",
+    "ring-construction-w-d3", "ring-construction-w-d4",
+    "ring-construction-w-d5", "ring-construction-w-d6",
+    "tree-property-suite",
+    "tt-rank-ghz-d3", "tt-rank-ghz-d4", "tt-rank-ghz-d5", "tt-rank-ghz-d6",
+    "tt-rank-strassen-222", "tt-rank-strassen-232", "tt-rank-strassen-333",
+    "tt-rank-w-d3", "tt-rank-w-d4", "tt-rank-w-d5", "tt-rank-w-d6",
+    "universal-embed-ghz4-complete", "universal-embed-ghz4-cycle",
+    "universal-embed-ghz4-path", "universal-embed-ghz4-star",
+    "universal-embed-strassen222-cycle", "universal-embed-strassen222-path",
+    "universal-embed-strassen222-star",
+    "universal-embed-w3-cycle", "universal-embed-w3-path", "universal-embed-w3-star",
+)
+FINDINGS = ("border-probe-c3", "border-probe-control", "dims-mps-c3-conflict", "dims-tt-alt-index-reading")
+
+
+def test_claim_registry_is_pinned():
+    assert len(GATED_CLAIMS) == 46
+    pinned = sorted([(c, True) for c in GATED_CLAIMS] + [(c, False) for c in FINDINGS])
+    assert [(c.id, c.gated) for c in verify.claims()] == pinned
+
+
+def test_dims_tt_rows_are_shared_within_one_run_only(monkeypatch):
+    from tnrank import geometry
+    from tnrank.graph import path_graph
+    from tnrank.network import ProblemSpec
+
+    specs = [ProblemSpec(path_graph(2), (1,), (2, 2)), ProblemSpec(path_graph(2), (2,), (3, 3))]
+    monkeypatch.setattr(verify, "_critical_path_specs", lambda: iter(specs))
+    calls = []
+    real = geometry.jacobian_dimension
+    monkeypatch.setattr(geometry, "jacobian_dimension", lambda *a: calls.append(a) or real(*a))
+    for run in (1, 2):
+        records = verify.run_claims("dims-tt-")
+        assert [r["computed"]["specs_checked"] for r in records] == [2, 2]
+        assert len(calls) == 2 * run  # once per spec per run, for both claims
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _summary_header():
     print("\nacceptance criteria:")

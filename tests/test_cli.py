@@ -192,3 +192,35 @@ def test_missing_out_is_checked_before_the_work(workdir, capsys, monkeypatch, ar
     capsys.readouterr()
     assert main(argv) == 1
     assert "needs --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "1"],
+        ["dim", "--tol", "1e-6"],
+        ["fit", "t.json", "--graph", "g.json", "--edge-dims", "1", "--mode", "exact"],
+        ["gallery", "w", "--trace"],
+    ],
+    ids=["verify-seed", "dim-tol", "fit-mode", "gallery-trace"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, shown",
+    [(MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate"), (MemoryError(), "MemoryError")],
+    ids=["numpy-message", "bare"],
+)
+def test_memory_error_is_an_error_line(workdir, capsys, monkeypatch, exc, shown):
+    def too_large(d):
+        raise exc
+
+    monkeypatch.setattr("tnrank.gallery.w_state", too_large)
+    assert main(["gallery", "w", "--d", "40"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and shown in err

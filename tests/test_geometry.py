@@ -4,7 +4,6 @@ import pytest
 from tnrank.geometry import (
     dim_mps_formula,
     dim_report,
-    dim_subspace_formula,
     dim_tt_formula,
     jacobian_dimension,
     jacobian_probes,
@@ -52,14 +51,6 @@ def test_mps_formula_values():
     assert dim_mps_formula((1, 1, 1), (1, 1, 1)) == 1
     with pytest.raises(ValueError):
         dim_mps_formula((2, 2, 2), (2, 2, 2))  # subcritical
-
-
-def test_subspace_formula():
-    assert dim_subspace_formula((2, 4, 2), (2, 4, 2)) == 16
-    assert dim_subspace_formula((4, 4, 4), (4, 4, 4)) == 64
-    assert dim_subspace_formula((1, 1), (3, 5)) == 2 + 4 + 1
-    with pytest.raises(ValueError):
-        dim_subspace_formula((3,), (2,))
 
 
 def test_jacobian_matrix_variety_dimensions():

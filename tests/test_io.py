@@ -8,7 +8,7 @@ from tnrank import gallery, io
 from tnrank.graph import cycle_graph
 from tnrank.network import contract_network
 from tnrank.scalars import GaussianRational as GR
-from tnrank.tensor import Tensor, float_tensor, tensors_equal
+from tnrank.tensor import Tensor, tensors_equal
 
 
 def test_exact_tensor_roundtrip_with_fractions_and_imaginary_parts():
@@ -27,7 +27,7 @@ def test_exact_tensor_roundtrip_with_fractions_and_imaginary_parts():
 
 def test_float_tensor_roundtrip():
     rng = np.random.default_rng(0)
-    t = float_tensor(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    t = Tensor(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)), "float")
     back = io.tensor_from_json(io.tensor_to_json(t))
     assert np.array_equal(back.data, t.data)
 
@@ -138,3 +138,34 @@ def test_bad_sparse_index_is_an_error_line_in_the_cli(tmp_path, capsys):
     assert main(["rank", str(tmp_path / "t.json"), str(tmp_path / "p2.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sparse[1]" in err
+
+
+def test_unknown_sparse_entry_key_is_rejected():
+    # A misspelt "im" used to be dropped, reading the entry as real.
+    doc = {"dims": [1], "scalar": "exact", "sparse": [{"idx": [1], "re": "1", "imag": "2"}]}
+    with pytest.raises(ValueError, match=r"sparse\[0\]: unknown keys \['imag'\]"):
+        io.tensor_from_json(doc)
+
+
+def test_unknown_tensor_document_key_is_rejected():
+    doc = {"dims": [2], "scalar": "float", "dense": [[1, 0], [0, 0]], "dtype": "c16"}
+    with pytest.raises(ValueError, match=r"unknown tensor document keys \['dtype'\]"):
+        io.tensor_from_json(doc)
+
+
+def test_dense_and_sparse_together_are_rejected():
+    # The sparse entries used to be dropped silently.
+    doc = {**_sparse_doc([2, 2]), "dense": [["1"], ["0"], ["0"], ["0"]]}
+    with pytest.raises(ValueError, match="both 'dense' and 'sparse'"):
+        io.tensor_from_json(doc)
+
+
+def test_unknown_key_is_an_error_line_in_the_cli(tmp_path, capsys):
+    from tnrank.cli import main
+
+    doc = {"dims": [2, 2], "scalar": "exact", "sparse": [{"idx": [1, 1], "re": "1", "imag": "2"}]}
+    io.dump(doc, tmp_path / "t.json")
+    io.dump({"d": 2, "edges": [[1, 2]]}, tmp_path / "p2.json")
+    assert main(["rank", str(tmp_path / "t.json"), str(tmp_path / "p2.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'imag'" in err
