@@ -1,25 +1,25 @@
 """Matrix rank and rank-revealing factorization in both scalar modes.
 
-Exact mode works over the Gaussian rationals.  Each row is first cleared of
-denominators, leaving Python ints for real input and Gaussian integers
-otherwise.  One fraction-free (Bareiss) elimination kernel then serves both
-exact entry points: its forward sweep gives the rank, and with the rows above
+Exact mode works over the Gaussian rationals, on a matrix given as canonical
+integer lanes (:class:`~tnrank.scalars.Lanes`): the integer matrix
+``den * M`` has the rank and the reduced row echelon form of ``M``, so its
+rows are the input, Python ints for real lanes and Gaussian integers
+otherwise.  One fraction-free (Bareiss) elimination kernel serves every
+exact entry point: its forward sweep gives the rank, and with the rows above
 each pivot swept too it gives the reduced row echelon form as integer
 numerators over one common denominator.  Every intermediate value is a minor
-of the cleared matrix, so coefficient growth stays polynomial, and Python's
-arbitrary-precision integers keep the result exact for any input.  Float mode
-uses singular values with a relative tolerance.
+of the integer matrix, so coefficient growth stays polynomial, and Python's
+arbitrary-precision integers keep the result exact for any input.  Float
+mode uses singular values with a relative tolerance.
 """
 
 from __future__ import annotations
 
-import operator
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, as_exact, clear_denominators
+from .scalars import GaussianRational, Lanes, canonical, to_lanes
 
 
 class RankToleranceWarning(UserWarning):
@@ -36,30 +36,23 @@ def default_float_tol(shape) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cleared_rows(mat):
-    """Scale each row by the lcm of its denominators.
-
-    Returns (rows, is_real): rows of Python ints when every entry is real,
-    otherwise rows of GaussianRational with integer components.  Row scaling
-    changes neither the rank nor the reduced row echelon form.
-    """
-    cleared = [clear_denominators(row) for row in mat]
-    if all(im is None for _, im, _ in cleared):
-        return [re for re, _, _ in cleared], True
-    return [
-        [GaussianRational(a, b) for a, b in zip(re, [0] * len(re) if im is None else im)]
-        for re, im, _ in cleared
-    ], False
+def _int_rows(m: Lanes):
+    """Rows of ``den * M``: ints when real, Gaussian-integer GaussianRationals otherwise."""
+    if len(m.shape) != 2:
+        raise ValueError("exact elimination expects a 2-d array")
+    if m.im is None:
+        return m.re.tolist(), True
+    return [[GaussianRational(a, b) for a, b in zip(*ri)] for ri in zip(m.re.tolist(), m.im.tolist())], False
 
 
 def _bareiss(rows, is_real: bool, reduce: bool):
-    """Fraction-free (Bareiss) elimination on the cleared rows, in place.
+    """Fraction-free (Bareiss) elimination on integer rows, in place.
 
     Columns are scanned left to right and the first nonzero row at or below
     the current one becomes the pivot row.  With pivot ``p`` and previous
     pivot ``prev``, every other row ``ri`` in the sweep becomes
     ``(p*ri - ri[col]*rk) / prev``.  By Sylvester's identity each quotient
-    is a minor of the input, so the division is exact: ``//`` on ints, ``/``
+    is a minor of the integer matrix, so the division is exact: ``//`` on ints, ``/``
     on Gaussian integers.  Rows whose pivot-column entry is zero are scaled
     too; skipping them breaks the invariant.
 
@@ -70,7 +63,6 @@ def _bareiss(rows, is_real: bool, reduce: bool):
 
     Returns ``(pivot_cols, d)``.
     """
-    div = operator.floordiv if is_real else operator.truediv
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -91,54 +83,46 @@ def _bareiss(rows, is_real: bool, reduce: bool):
             ri = rows[i]
             f = ri[col]
             start = pivots[i] if i < k else col  # ri is zero before start
-            ri[start:] = [div(p * a - f * b, prev) for a, b in zip(ri[start:], rk[start:])]
+            if is_real:
+                ri[start:] = [(p * a - f * b) // prev for a, b in zip(ri[start:], rk[start:])]
+            else:
+                ri[start:] = [(p * a - f * b) / prev for a, b in zip(ri[start:], rk[start:])]
         pivots.append(col)
         prev = p
     return pivots, prev
 
 
-def exact_rank(mat: np.ndarray) -> int:
-    """Rank over the rationals of an object matrix of exact scalars."""
-    if mat.ndim != 2:
-        raise ValueError("exact_rank expects a 2-d array")
-    rows, is_real = _cleared_rows(mat)
+def exact_rank(m: Lanes) -> int:
+    """Rank over the rationals of an exact matrix."""
+    rows, is_real = _int_rows(m)
     return len(_bareiss(rows, is_real, reduce=False)[0])
 
 
-def exact_row_reduce(mat: np.ndarray):
+def exact_row_reduce(m: Lanes):
     """Reduced row echelon form of an exact matrix.
 
-    Returns ``(rank, pivot_cols, rref)`` where ``rref`` is a
-    ``rank x ncols`` object array of GaussianRational and the input equals
-    ``mat[:, pivot_cols] @ rref`` exactly.  Pivoting scans columns left to
+    Returns ``(rank, pivot_cols, rref)`` where ``rref`` is the canonical
+    lanes of the ``rank x ncols`` reduced matrix and the input equals
+    ``m[:, pivot_cols] @ rref`` exactly.  Pivoting scans columns left to
     right and takes the first nonzero row, so the output is deterministic.
     """
-    if mat.ndim != 2:
-        raise ValueError("exact_row_reduce expects a 2-d array")
-    rows, is_real = _cleared_rows(mat)
+    rows, is_real = _int_rows(m)
     pivots, d = _bareiss(rows, is_real, reduce=True)
-    rank = len(pivots)
-    rref = np.empty((rank, mat.shape[1]), dtype=object)
-    for k in range(rank):
-        if is_real:
-            rref[k, :] = [GaussianRational(Fraction(x, d)) for x in rows[k]]
-        else:
-            rref[k, :] = [x / d for x in rows[k]]
-    return rank, pivots, rref
+    shape = (len(pivots), m.shape[1])
+    if is_real:
+        return len(pivots), pivots, canonical(np.array(rows[: shape[0]], dtype=object).reshape(shape), None, d)
+    rref = np.array([[x / d for x in row] for row in rows[: shape[0]]], dtype=object)
+    return len(pivots), pivots, to_lanes(rref.reshape(shape))
 
 
-def exact_rank_factor(mat: np.ndarray):
-    """Exact rank factorization ``mat = C @ R``.
+def exact_rank_factor(m: Lanes):
+    """Exact rank factorization ``M = C @ R``, both as canonical lanes.
 
-    ``C`` is the pivot columns of ``mat`` (m x r) and ``R`` the nonzero rows
-    of its reduced row echelon form (r x n).
+    ``C`` is the pivot columns of ``M`` (m x r) and ``R`` the nonzero rows of
+    its reduced row echelon form (r x n).
     """
-    rank, pivots, rref = exact_row_reduce(mat)
-    c = np.empty((mat.shape[0], rank), dtype=object)
-    for j, p in enumerate(pivots):
-        for i in range(mat.shape[0]):
-            c[i, j] = as_exact(mat[i, p])
-    return rank, c, rref
+    rank, pivots, rref = exact_row_reduce(m)
+    return rank, canonical(*m.map(lambda x: x[:, pivots])), rref
 
 
 # ---------------------------------------------------------------------------
@@ -150,34 +134,22 @@ def float_rank(mat: np.ndarray, tol: float | None = None) -> int:
     """Number of singular values above ``tol * sigma_1``."""
     if mat.ndim != 2:
         raise ValueError("float_rank expects a 2-d array")
-    if mat.size == 0:
-        return 0
-    if tol is None:
-        tol = default_float_tol(mat.shape)
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    thresh = tol * s[0]
-    rank = int(np.sum(s > thresh))
-    _warn_if_near_threshold(s, rank, thresh)
-    return rank
+    return _svd_rank(np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0), mat.shape, tol)
 
 
 def float_rank_factor(mat: np.ndarray, tol: float | None = None):
     """Rank-revealing factorization ``mat ~= C @ R`` by truncated SVD."""
-    if tol is None:
-        tol = default_float_tol(mat.shape)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        thresh = tol * s[0]
-        rank = int(np.sum(s > thresh))
-        _warn_if_near_threshold(s, rank, thresh)
+    rank = _svd_rank(s, mat.shape, tol)
     return rank, u[:, :rank] * s[:rank], vh[:rank, :]
 
 
-def _warn_if_near_threshold(s, rank, thresh):
+def _svd_rank(s, shape, tol):
+    """Count the singular values above ``tol * s[0]``; warn when the count is close."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    thresh = (default_float_tol(shape) if tol is None else tol) * s[0]
+    rank = int(np.sum(s > thresh))
     near_keep = rank > 0 and s[rank - 1] < 8.0 * thresh
     near_drop = rank < len(s) and s[rank] > thresh / 8.0
     if near_keep or near_drop:
@@ -188,13 +160,4 @@ def _warn_if_near_threshold(s, rank, thresh):
             RankToleranceWarning,
             stacklevel=3,
         )
-
-
-def exact_to_float(mat: np.ndarray) -> np.ndarray:
-    """Explicit conversion of an exact object matrix to complex128."""
-    out = np.empty(mat.shape, dtype=np.complex128)
-    flat_in = mat.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = as_exact(flat_in[i]).to_complex()
-    return out
+    return rank

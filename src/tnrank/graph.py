@@ -37,14 +37,21 @@ class NetworkGraph:
                 raise GraphError(f"edge {e} has nonpositive weight")
             edges.append((int(u), int(v), int(w)))
         object.__setattr__(self, "edges", tuple(edges))
+        # Incident edge ids per vertex, built once (index 0 unused).
+        incident = [[] for _ in range(self.d + 1)]
+        for k, (u, v, _) in enumerate(edges, start=1):
+            incident[u].append(k)
+            if v != u:
+                incident[v].append(k)
+        object.__setattr__(self, "_incident", tuple(map(tuple, incident)))
 
     @property
     def c(self) -> int:
         return len(self.edges)
 
-    def incident_edges(self, i: int) -> list[int]:
+    def incident_edges(self, i: int) -> tuple[int, ...]:
         """Ids (1-based, ascending) of edges touching vertex i."""
-        return [k + 1 for k, (u, v, _) in enumerate(self.edges) if i in (u, v)]
+        return self._incident[i]
 
     def degree(self, i: int) -> int:
         return len(self.incident_edges(i))

@@ -10,58 +10,88 @@ bit for bit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
+import math
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
 from .graph import NetworkGraph
 from .network import CPDecomposition, TNState
-from .scalars import EXACT, FLOAT, GaussianRational, as_exact, format_fraction, parse_fraction
+from .scalars import EXACT, FLOAT, as_exact, parts_to_lanes
 from .tensor import Tensor
+
+
+def _get(doc, key: str, where: str, kind=list):
+    """Field ``key`` of the JSON object ``doc``, which must be a ``kind``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: {key!r} must be a JSON {'array' if kind is list else 'integer'}")
+    return value
+
+
+def _ints(doc, key: str, where: str) -> tuple[int, ...]:
+    value = _get(doc, key, where)
+    if not all(type(x) is int for x in value):
+        raise ValueError(f"{where}: {key!r} must be a list of integers, not {value!r}")
+    return tuple(value)
 
 
 def _entry_to_json(x, mode: str):
     if mode == EXACT:
         g = as_exact(x)
-        return [format_fraction(g.re), format_fraction(g.im)]
+        return [str(g.re), str(g.im)]
     c = complex(x)
     return [c.real, c.imag]
 
 
-def _entry_from_json(v, mode: str):
-    if mode == EXACT:
-        if isinstance(v, (list, tuple)):
-            re, im = v
-        else:
-            re, im = v, 0
-        return GaussianRational(parse_fraction(re), parse_fraction(im))
-    c = complex(float(v[0]), float(v[1])) if isinstance(v, (list, tuple)) else complex(v)
+def _fraction(v):
+    """An int or Fraction from a JSON number or a string like ``"-3/7"`` or ``"0.5"``."""
+    if type(v) is int:
+        return v
+    num, slash, den = str(v).partition("/")
+    try:
+        return Fraction(int(num), int(den)) if slash else int(num)
+    except ValueError:
+        return Fraction(str(v))
+
+
+def _ratio(a: int, den: int) -> str:
+    """``str(Fraction(a, den))`` for ints, ``den > 0``."""
+    g = math.gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
+
+
+def _entry_from_json(v, mode: str, where: str):
+    """An exact entry as its ``(re, im)`` parts, a float entry as a complex."""
+    try:
+        if mode == EXACT:
+            re, im = v if isinstance(v, list) else (v, 0)
+            return _fraction(re), _fraction(im)
+        c = complex(float(v[0]), float(v[1])) if isinstance(v, list) else complex(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: {v!r} is not a valid {mode} entry") from None
     if not cmath.isfinite(c):
-        raise ValueError(f"non-finite float entry {v!r}")
+        raise ValueError(f"{where}: non-finite float entry {v!r}")
     return c
 
 
 def tensor_to_json(t: Tensor) -> dict:
     doc: dict[str, Any] = {"dims": list(t.dims), "scalar": t.mode}
-    flat = t.data.reshape(-1)
     if t.mode == EXACT:
-        entries = []
-        for pos in range(flat.size):
-            g = as_exact(flat[pos])
-            if g.is_zero():
-                continue
-            idx = list(np.unravel_index(pos, t.dims)) if t.dims else []
-            entries.append(
-                {
-                    "idx": [int(i) + 1 for i in idx],
-                    "re": format_fraction(g.re),
-                    "im": format_fraction(g.im),
-                }
-            )
-        doc["sparse"] = entries
+        re, im, den = t.lanes
+        nonzero = re != 0 if im is None else (re != 0) | (im != 0)
+        ims = itertools.repeat(0) if im is None else im[nonzero]
+        doc["sparse"] = [
+            {"idx": [i + 1 for i in idx], "re": _ratio(a, den), "im": _ratio(b, den)}
+            for idx, a, b in zip(np.argwhere(nonzero).tolist(), re[nonzero], ims)
+        ]
     else:
-        doc["dense"] = [_entry_to_json(x, FLOAT) for x in flat]
+        doc["dense"] = [_entry_to_json(x, FLOAT) for x in t.data.reshape(-1)]
     return doc
 
 
@@ -69,59 +99,66 @@ _TENSOR_KEYS = frozenset({"dims", "scalar", "dense", "sparse"})
 _SPARSE_ENTRY_KEYS = frozenset({"idx", "re", "im"})
 
 
-def tensor_from_json(doc: dict) -> Tensor:
+def tensor_from_json(doc) -> Tensor:
+    where = "tensor document"
+    dims = _ints(doc, "dims", where)
     if not doc.keys() <= _TENSOR_KEYS:
         raise ValueError(f"unknown tensor document keys {sorted(doc.keys() - _TENSOR_KEYS)}")
     if "dense" in doc and "sparse" in doc:
         raise ValueError("tensor document holds both 'dense' and 'sparse' entries")
-    dims = tuple(int(x) for x in doc["dims"])
-    mode = doc["scalar"]
+    mode = doc.get("scalar")
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
-    size = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    if any(n < 0 for n in dims):
+        raise ValueError(f"{where}: negative dims {list(dims)}")
+    size = math.prod(dims)
     if "dense" in doc:
-        entries = doc["dense"]
+        entries = _get(doc, "dense", where)
         if len(entries) != size:
             raise ValueError(f"dense entry count {len(entries)} != {size}")
-        if mode == EXACT:
-            arr = np.empty(size, dtype=object)
-            for i, v in enumerate(entries):
-                arr[i] = _entry_from_json(v, EXACT)
-        else:
-            arr = np.array([_entry_from_json(v, FLOAT) for v in entries], dtype=np.complex128)
-        return Tensor(arr.reshape(dims), mode)
-    if "sparse" in doc:
-        if mode == EXACT:
-            arr = np.full(dims, GaussianRational(0), dtype=object)
-        else:
-            arr = np.zeros(dims, dtype=np.complex128)
+        values = [_entry_from_json(v, mode, f"dense[{k}]") for k, v in enumerate(entries)]
+    elif "sparse" in doc:
+        values = [(0, 0) if mode == EXACT else 0j] * size
         seen = set()
-        for pos, item in enumerate(doc["sparse"]):
+        for pos, item in enumerate(_get(doc, "sparse", where)):
+            at = f"sparse[{pos}]"
+            idx = _get(item, "idx", at)
             if not item.keys() <= _SPARSE_ENTRY_KEYS:
-                raise ValueError(f"sparse[{pos}]: unknown keys {sorted(item.keys() - _SPARSE_ENTRY_KEYS)}")
-            idx = tuple(int(i) - 1 for i in item["idx"])
-            if len(idx) != len(dims) or not all(0 <= i < n for i, n in zip(idx, dims)):
-                raise ValueError(f"sparse[{pos}]: index {item['idx']} does not fit dims {list(dims)}")
-            if idx in seen:
-                raise ValueError(f"sparse[{pos}]: index {item['idx']} repeats an earlier entry")
-            seen.add(idx)
-            arr[idx] = _entry_from_json([item["re"], item.get("im", 0)], mode)
-        return Tensor(arr, mode)
-    raise ValueError("tensor document needs a 'dense' or 'sparse' field")
+                raise ValueError(f"{at}: unknown keys {sorted(item.keys() - _SPARSE_ENTRY_KEYS)}")
+            if len(idx) != len(dims) or not all(type(i) is int and 0 < i <= n for i, n in zip(idx, dims)):
+                raise ValueError(f"{at}: index {idx} does not fit dims {list(dims)}")
+            flat = 0  # row-major position of the 1-based index
+            for i, n in zip(idx, dims):
+                flat = flat * n + i - 1
+            if flat in seen:
+                raise ValueError(f"{at}: index {idx} repeats an earlier entry")
+            seen.add(flat)
+            values[flat] = _entry_from_json([item.get("re"), item.get("im", 0)], mode, at)
+    else:
+        raise ValueError("tensor document needs a 'dense' or 'sparse' field")
+    return _tensor(values, dims, mode)
+
+
+def _tensor(values, dims, mode: str) -> Tensor:
+    """The tensor of parsed entries ``values`` in flat order."""
+    if mode == EXACT:
+        return Tensor(parts_to_lanes(dims, values), EXACT)
+    return Tensor(np.array(values, dtype=np.complex128).reshape(dims), FLOAT)
 
 
 def graph_to_json(g: NetworkGraph) -> dict:
     return {"d": g.d, "edges": [[u, v, w] for u, v, w in g.edges]}
 
 
-def graph_from_json(doc: dict) -> NetworkGraph:
+def graph_from_json(doc) -> NetworkGraph:
+    where = "graph document"
+    d = _get(doc, "d", where, int)
     edges = []
-    for e in doc.get("edges", []):
-        if len(e) == 2:
-            edges.append((int(e[0]), int(e[1]), 1))
-        else:
-            edges.append((int(e[0]), int(e[1]), int(e[2])))
-    return NetworkGraph(int(doc["d"]), tuple(edges))
+    for k, e in enumerate(_get(doc, "edges", where) if "edges" in doc else []):
+        if not (isinstance(e, list) and len(e) in (2, 3) and all(type(x) is int for x in e)):
+            raise ValueError(f"{where}: edges[{k}] must be [u, v] or [u, v, weight] integers, not {e!r}")
+        edges.append((*e, 1) if len(e) == 2 else tuple(e))
+    return NetworkGraph(d, tuple(edges))
 
 
 def state_to_json(s: TNState) -> dict:
@@ -133,12 +170,19 @@ def state_to_json(s: TNState) -> dict:
     }
 
 
-def state_from_json(doc: dict) -> TNState:
+def state_from_json(doc) -> TNState:
+    where = "state document"
+    factors = []
+    for k, f in enumerate(_get(doc, "factors", where)):
+        try:
+            factors.append(tensor_from_json(f))
+        except ValueError as exc:
+            raise ValueError(f"{where}: factors[{k}]: {exc}") from None
     return TNState(
-        graph_from_json(doc["graph"]),
-        tuple(int(x) for x in doc["edge_dims"]),
-        tuple(int(x) for x in doc["vertex_dims"]),
-        tuple(tensor_from_json(f) for f in doc["factors"]),
+        graph_from_json(doc.get("graph")),
+        _ints(doc, "edge_dims", where),
+        _ints(doc, "vertex_dims", where),
+        tuple(factors),
     )
 
 
@@ -153,21 +197,21 @@ def cp_to_json(cp: CPDecomposition) -> dict:
     }
 
 
-def cp_from_json(doc: dict) -> CPDecomposition:
-    mode = doc["scalar"]
+def cp_from_json(doc) -> CPDecomposition:
+    where = "CP document"
+    order = _get(doc, "order", where, int)
+    mode = doc.get("scalar")
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"{where}: unknown scalar mode {mode!r}")
     terms = []
-    for term in doc["terms"]:
-        vecs = []
-        for v in term:
-            if mode == EXACT:
-                arr = np.empty(len(v), dtype=object)
-                for i, x in enumerate(v):
-                    arr[i] = _entry_from_json(x, EXACT)
-            else:
-                arr = np.array([_entry_from_json(x, FLOAT) for x in v], dtype=np.complex128)
-            vecs.append(Tensor(arr, mode))
-        terms.append(tuple(vecs))
-    return CPDecomposition(int(doc["order"]), tuple(terms))
+    for p, term in enumerate(_get(doc, "terms", where)):
+        if not isinstance(term, list) or not all(isinstance(v, list) for v in term):
+            raise ValueError(f"{where}: terms[{p}] must be an array of vectors (JSON arrays)")
+        terms.append(tuple(
+            _tensor([_entry_from_json(x, mode, f"terms[{p}][{s}][{k}]") for k, x in enumerate(v)], (len(v),), mode)
+            for s, v in enumerate(term)
+        ))
+    return CPDecomposition(order, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ never represented.
 
 One engine serves full contraction and the leave-one-out environments of ALS
 and the Jacobian: a greedy pairwise plan, cached per (graph, factor shapes,
-left-out vertex), replayed with ``np.tensordot`` on complex arrays, or on
-integer lanes in exact mode (storage stays ``GaussianRational``).
+left-out vertex), replayed with ``np.tensordot`` on complex arrays, or on the
+factors' own integer lanes in exact mode.
 The plan knows its largest tensor in advance, and a contraction above the
 size limit is refused before anything is allocated.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graph import GraphError, NetworkGraph, incident_weight_product, validate_rank_tuple
-from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, from_lanes, to_lanes
+from .scalars import EXACT, FLOAT, GaussianRational, Lanes, canonical, check_same_mode, to_lanes
 from .tensor import Tensor
 
 
@@ -108,11 +108,11 @@ class CPDecomposition:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("CP decomposition needs at least one term")
+        if any(len(t) != self.order for t in terms):
+            raise ValueError("every CP term needs one vector per mode")
         check_same_mode(*[v.mode for t in terms for v in t])
         dims = self.vertex_dims
         for t in terms:
-            if len(t) != self.order:
-                raise ValueError("every CP term needs one vector per mode")
             for slot, v in enumerate(t):
                 if v.order != 1 or v.dims[0] != dims[slot]:
                     raise ValueError("CP vectors in one slot must share their length")
@@ -206,12 +206,12 @@ def _plan(graph: NetworkGraph, shapes: tuple, omit: int | None):
     return tuple(steps), slot, perm, max(largest, math.prod(modes.values()))
 
 
-def _replay(graph: NetworkGraph, arrays, omit: int | None) -> np.ndarray:
+def _replay(graph: NetworkGraph, arrays, omit: int | None):
     """Contract ``arrays`` (one per vertex) along the cached plan's steps.
 
-    Object (exact) arrays are replayed on their integer lanes.  Raises
-    GraphError before any work when the plan would create a tensor above
-    ``_MAX_ENTRIES`` entries.
+    The arrays are complex arrays, or Lanes in exact mode; the result is of
+    the same kind, its lanes not yet canonical.  Raises GraphError before any
+    work when the plan would create a tensor above ``_MAX_ENTRIES`` entries.
     """
     steps, slot, perm, largest = _plan(graph, tuple(a.shape for a in arrays), omit)
     if largest > _MAX_ENTRIES:
@@ -219,13 +219,22 @@ def _replay(graph: NetworkGraph, arrays, omit: int | None) -> np.ndarray:
             f"contraction would create a tensor of {largest} entries, "
             f"above the limit of {_MAX_ENTRIES}"
         )
-    exact = any(x.dtype == object for x in arrays)
-    work = [to_lanes(x) for x in arrays] if exact else list(arrays)
+    exact = isinstance(arrays[0], Lanes)
+    work = list(arrays)
     dot = tz.lane_dot if exact else np.tensordot
     for a, b, axes in steps:
         work.append(dot(work[a], work[b], axes))
         work[a] = work[b] = None
-    return np.transpose(from_lanes(*work[slot]) if exact else work[slot], perm)
+    if exact:
+        return work[slot].map(lambda x: np.transpose(x, perm))
+    return np.transpose(work[slot], perm)
+
+
+def _operand(f):
+    """What the replay contracts: a Tensor's lanes or float array, or a bare array."""
+    if isinstance(f, Tensor):
+        return f.data if f.lanes is None else f.lanes
+    return to_lanes(f) if f.dtype == object else f
 
 
 def contract_network(state: TNState) -> Tensor:
@@ -236,7 +245,7 @@ def contract_network(state: TNState) -> Tensor:
     """
     if any(r == 0 for r in state.edge_dims):
         return tz.zeros(state.vertex_dims, state.mode)
-    return Tensor(_replay(state.graph, [f.data for f in state.factors], None), state.mode)
+    return Tensor(_replay(state.graph, [_operand(f) for f in state.factors], None), state.mode)
 
 
 def random_state(spec: ProblemSpec, seed: int) -> TNState:
@@ -287,16 +296,17 @@ def universal_embed(cp: CPDecomposition, g: NetworkGraph) -> TNState:
     return TNState(g, (r,) * g.c, dims, tuple(factors))
 
 
-def environment(graph: NetworkGraph, factors, i: int) -> np.ndarray:
+def environment(graph: NetworkGraph, factors, i: int):
     """Contract every factor except vertex i, with the planner of ``contract_network``.
 
     ``factors`` holds Tensors or bare arrays, one per vertex, exact or float.
     Output modes: physical modes of the other vertices ascending, then the
-    bond modes of vertex i's incident edges ascending.  The contracted state
-    is linear in factor i against this environment.
+    bond modes of vertex i's incident edges ascending.  The result is a
+    complex array, or canonical Lanes in exact mode.  The contracted state is
+    linear in factor i against this environment.
     """
-    arrays = [f.data if isinstance(f, Tensor) else f for f in factors]
-    return _replay(graph, arrays, i)
+    env = _replay(graph, [_operand(f) for f in factors], i)
+    return canonical(*env) if isinstance(env, Lanes) else env
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,20 @@
-"""Exact Gaussian-rational scalars, their integer lanes, and the two scalar modes.
+"""Exact Gaussian-rational scalars, integer lanes, and the two scalar modes.
 
 Every tensor in this package carries one of two scalar modes:
 
-* ``"exact"`` -- entries are :class:`GaussianRational` numbers (complex
-  numbers whose real and imaginary parts are arbitrary-precision
-  fractions).  Arithmetic is error-free.
+* ``"exact"`` -- entries are complex numbers whose real and imaginary parts
+  are arbitrary-precision fractions.  Arithmetic is error-free.
 * ``"float"`` -- entries are ``complex128``.
 
 Mixing modes in one operation is an error; conversion exact -> float is
-explicit via :meth:`GaussianRational.to_complex`.
+explicit.
 
-Exact tensors store :class:`GaussianRational` entries, but their products run
-on integer lanes: an exact array becomes ``(re, im, den)``, object arrays of
-Python ints over one shared positive denominator (the lcm of the entries'
-denominators), with ``im`` None when every entry is real.  :func:`to_lanes`
-and :func:`from_lanes` convert on the way in and out, and
-:func:`clear_denominators` is the one way denominators are cleared, shared
-with exact elimination.
+An exact array is stored as integer lanes, :class:`Lanes` ``(re, im, den)``:
+object arrays of Python ints over one shared denominator, ``im`` None when
+every entry is real, kept canonical by :func:`canonical` so that equal
+arrays have equal lanes.  :class:`GaussianRational` is the scalar type, for
+single entries and hand-built fixtures; :func:`to_lanes` and
+:func:`from_lanes` convert arrays of it.
 """
 
 from __future__ import annotations
@@ -24,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
-MODES = (EXACT, FLOAT)
 
 
 class ModeMismatchError(TypeError):
@@ -68,12 +66,7 @@ class GaussianRational:
     def _coerce(x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return GaussianRational(x) if isinstance(x, (int, Fraction)) else None
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative fraction."""
@@ -100,10 +93,7 @@ class GaussianRational:
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -128,10 +118,7 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return as_exact(other) / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -140,7 +127,7 @@ class GaussianRational:
         return self
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -159,55 +146,76 @@ class GaussianRational:
         return f"GR({self.re}, {self.im})"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
+def _parts(x):
+    """``(re, im)`` of an int, Fraction or GaussianRational."""
+    if type(x) is GaussianRational:
+        return x.re, x.im
+    if isinstance(x, (int, Fraction)):
+        return x, 0
+    raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
 
 
 def as_exact(x) -> GaussianRational:
     """Coerce an int/Fraction/GaussianRational to GaussianRational."""
-    g = GaussianRational._coerce(x)
-    if g is None:
-        raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
-    return g
+    return x if type(x) is GaussianRational else GaussianRational(*_parts(x))
 
 
-def clear_denominators(entries):
-    """Integer numerators of exact scalars over their least common denominator.
+class Lanes(NamedTuple):
+    """Integer lanes of an exact array: entry k is ``(re[k] + i*im[k]) / den``."""
 
-    Returns ``(re, im, den)``: lists of Python ints with ``entries[k] ==
-    (re[k] + i*im[k]) / den``, and ``im`` None when every entry is real.
+    re: np.ndarray
+    im: np.ndarray | None
+    den: int
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.re.shape
+
+    def map(self, fn) -> "Lanes":
+        """Apply one array rearrangement (transpose, reshape, indexing) to both lanes."""
+        return Lanes(fn(self.re), None if self.im is None else fn(self.im), self.den)
+
+
+def canonical(re, im, den: int) -> Lanes:
+    """Lanes in canonical form, so that equal arrays have equal lanes.
+
+    ``den > 0``, ``gcd(den, every numerator) == 1``, and ``im`` is None
+    exactly when every imaginary part is 0.  One gcd pass over the entries.
     """
-    gs = [g if type(g) is GaussianRational else as_exact(g) for g in entries]
-    den = math.lcm(*(x.denominator for g in gs for x in (g.re, g.im)))
-    re = [g.re.numerator * (den // g.re.denominator) for g in gs]
-    if not any(g.im for g in gs):
-        return re, None, den
-    return re, [g.im.numerator * (den // g.im.denominator) for g in gs], den
+    re = np.asarray(re, dtype=object)  # lane arithmetic on 0-d arrays yields bare ints
+    if im is not None:
+        im = np.asarray(im, dtype=object)
+        im = im if any(im.flat) else None
+    g = 1 if den == 1 else math.gcd(den, *re.flat, *(() if im is None else im.flat))
+    g = -g if den < 0 else g
+    if g == 1:
+        return Lanes(re, im, den)
+    return Lanes(np.asarray(re // g, dtype=object), None if im is None else np.asarray(im // g, dtype=object), den // g)
 
 
-def to_lanes(arr: np.ndarray):
-    """The integer lanes ``(re, im, den)`` of an array of exact scalars."""
-    re, im, den = clear_denominators(arr.reshape(-1))
-    re, im = (v if v is None else np.array(v, dtype=object).reshape(arr.shape) for v in (re, im))
-    return re, im, den
+def parts_to_lanes(shape, parts) -> Lanes:
+    """Lanes of the array whose flat entries are ``re + i*im`` for ``(re, im)`` in ``parts``.
+
+    The parts are ints or Fractions.  Numerators of reduced fractions over
+    the lcm of their denominators are already canonical.
+    """
+    den = math.lcm(*(x.denominator for p in parts for x in p))
+
+    def lane(k):
+        return np.array([p[k].numerator * (den // p[k].denominator) for p in parts], dtype=object).reshape(shape)
+
+    return Lanes(lane(0), lane(1) if any(p[1] for p in parts) else None, den)
+
+
+def to_lanes(arr) -> Lanes:
+    """The canonical lanes of an array of ints, Fractions or GaussianRationals."""
+    arr = np.asarray(arr, dtype=object)
+    return parts_to_lanes(arr.shape, [_parts(x) for x in arr.flat])
 
 
 def from_lanes(re, im, den) -> np.ndarray:
     """The object array of GaussianRational that integer lanes stand for."""
-    re = np.asarray(re, dtype=object)  # a 0-d lane difference is a bare int
-    ims = itertools.repeat(0) if im is None else np.asarray(im, dtype=object).flat
+    ims = itertools.repeat(0) if im is None else im.flat
     out = np.empty(re.shape, dtype=object)
-    out.flat[:] = [
-        GaussianRational(Fraction(a, den), Fraction(b, den) if b else 0)
-        for a, b in zip(re.flat, ims)
-    ]
+    out.flat[:] = [GaussianRational(Fraction(a, den), Fraction(b, den) if b else 0) for a, b in zip(re.flat, ims)]
     return out
-
-
-def parse_fraction(s) -> Fraction:
-    """Parse a decimal fraction string like ``"-3/7"`` or ``"5"``."""
-    return Fraction(str(s))
-
-
-def format_fraction(f: Fraction) -> str:
-    return str(f)

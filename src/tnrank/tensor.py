@@ -1,15 +1,13 @@
 """Dense tensors with exact or floating scalars, and their core operations.
 
-Tensors are immutable wrappers around numpy arrays: ``object`` dtype holding
-:class:`~tnrank.scalars.GaussianRational` entries in exact mode, complex128
-in float mode.  Mode numbers at the interface are 1-based; storage is
-row-major (the last index varies fastest).
-
-Exact products (``outer``, ``scale``, ``mlmul`` and the network
-contractions) convert their operands once to integer lanes
-(:func:`~tnrank.scalars.to_lanes`), run ``np.tensordot`` on Python ints in
-:func:`lane_dot`, and convert the result back once; storage stays
-``GaussianRational``.
+A float tensor wraps a complex128 array.  An exact tensor stores canonical
+integer lanes (:class:`~tnrank.scalars.Lanes`), and every exact operation
+here (``flatten``, ``outer``, ``scale``, ``add``, ``mlmul``, comparisons and
+``to_float``) works on the lanes; products run ``np.tensordot`` on Python
+ints in :func:`lane_dot`.  The object array of GaussianRational that an
+exact tensor stands for is built only when ``.data`` is read.  Mode numbers
+at the interface are 1-based; storage is row-major (the last index varies
+fastest).
 """
 
 from __future__ import annotations
@@ -17,78 +15,94 @@ from __future__ import annotations
 import numpy as np
 
 from . import elimination
-from .scalars import EXACT, FLOAT, GaussianRational, as_exact, check_same_mode
-from .scalars import from_lanes, to_lanes
+from .scalars import EXACT, FLOAT, Lanes, canonical, check_same_mode, from_lanes, to_lanes
 
 
 class Tensor:
-    """A dense tensor of order ``len(dims)`` in one scalar mode."""
+    """A dense tensor of order ``len(dims)`` in one scalar mode.
 
-    __slots__ = ("data", "mode")
+    ``Tensor(x, EXACT)`` takes an array of exact scalars or Lanes and keeps
+    canonical ``lanes``; a float tensor keeps ``data`` and has ``lanes`` None.
+    """
 
-    def __init__(self, data: np.ndarray, mode: str):
+    __slots__ = ("data", "lanes", "mode")
+
+    def __init__(self, data, mode: str):
         if mode == EXACT:
-            if data.dtype != object:
-                raise TypeError("exact tensors need an object-dtype array")
+            lanes = canonical(*(data if isinstance(data, Lanes) else to_lanes(data)))
+            for lane in lanes[:2]:
+                if lane is not None:
+                    lane.flags.writeable = False
         elif mode == FLOAT:
             if data.dtype != np.complex128:
                 data = np.ascontiguousarray(data, dtype=np.complex128)
+            data.flags.writeable = False
+            object.__setattr__(self, "data", data)
+            lanes = None
         else:
             raise ValueError(f"unknown scalar mode {mode!r}")
+        object.__setattr__(self, "lanes", lanes)
+        object.__setattr__(self, "mode", mode)
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: the data of an exact tensor, built
+        # from the lanes on first read and cached.
+        if name != "data" or self.lanes is None:
+            raise AttributeError(name)
+        data = from_lanes(*self.lanes)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "mode", mode)
+        return data
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self.data.shape if self.lanes is None else self.lanes.shape
 
     @property
     def order(self) -> int:
-        return self.data.ndim
+        return len(self.dims)
 
     def item(self, index: tuple[int, ...]):
         """Entry at a 1-based multi-index."""
         return self.data[tuple(i - 1 for i in index)]
 
     def to_float(self) -> "Tensor":
-        """Explicit exact -> float conversion (identity on float tensors)."""
+        """Explicit exact -> float conversion (identity on float tensors).
+
+        Int true division rounds correctly: the entries are ``to_complex``'s.
+        """
         if self.mode == FLOAT:
             return self
-        return Tensor(elimination.exact_to_float(self.data), FLOAT)
+        re, im, den = self.lanes
+        out = np.zeros(re.shape, dtype=np.complex128)
+        out.real = re / den
+        if im is not None:
+            out.imag = im / den
+        return Tensor(out, FLOAT)
 
     def __repr__(self):
         return f"Tensor(dims={self.dims}, mode={self.mode!r})"
 
 
 def exact_tensor(values) -> Tensor:
-    """Build an exact tensor, coercing int/Fraction entries."""
-    arr = np.array(values, dtype=object)
-    flat = arr.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = as_exact(flat[i])
-    return Tensor(arr, EXACT)
+    """Build an exact tensor from nested lists of ints, Fractions or GaussianRationals."""
+    return Tensor(to_lanes(np.array(values, dtype=object)), EXACT)
 
 
 def zeros(dims, mode: str) -> Tensor:
     if mode == EXACT:
-        arr = np.full(tuple(dims), GaussianRational(0), dtype=object)
-        return Tensor(arr, EXACT)
+        return Tensor(Lanes(np.zeros(tuple(dims), dtype=object), None, 1), EXACT)
     return Tensor(np.zeros(tuple(dims), dtype=np.complex128), FLOAT)
 
 
 def basis_vector(n: int, k: int, mode: str = EXACT) -> Tensor:
     """Standard basis vector e_k (1-based) of length n."""
-    if mode == EXACT:
-        arr = np.full((n,), GaussianRational(0), dtype=object)
-        arr[k - 1] = GaussianRational(1)
-        return Tensor(arr, EXACT)
-    arr = np.zeros((n,), dtype=np.complex128)
-    arr[k - 1] = 1.0
-    return Tensor(arr, FLOAT)
+    arr = np.zeros((n,), dtype=object if mode == EXACT else np.complex128)
+    arr[k - 1] = 1
+    return Tensor(Lanes(arr, None, 1) if mode == EXACT else arr, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +110,12 @@ def basis_vector(n: int, k: int, mode: str = EXACT) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def lane_dot(a, b, axes):
-    """``np.tensordot`` of two exact arrays given as integer lanes ``(re, im, den)``.
+def lane_dot(a: Lanes, b: Lanes, axes) -> Lanes:
+    """``np.tensordot`` of two exact arrays given as integer lanes.
 
     Real lanes take one product; Gaussian lanes take the four of complex
-    multiplication, skipping the terms of a real operand.
+    multiplication, skipping the terms of a real operand.  The result is
+    not reduced to canonical form.
     """
     (ar, ai, da), (br, bi, db) = a, b
     re, im = np.tensordot(ar, br, axes), None
@@ -111,14 +126,14 @@ def lane_dot(a, b, axes):
     if bi is not None:
         t = np.tensordot(ar, bi, axes)
         im = t if im is None else im + t
-    return re, im, da * db
+    return Lanes(re, im, da * db)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
     """Tensor product; dims concatenate."""
     if check_same_mode(a.mode, b.mode) == FLOAT:
         return Tensor(np.tensordot(a.data, b.data, axes=0), FLOAT)
-    return Tensor(from_lanes(*lane_dot(to_lanes(a.data), to_lanes(b.data), 0)), EXACT)
+    return Tensor(lane_dot(a.lanes, b.lanes, 0), EXACT)
 
 
 def flatten(a: Tensor, row_modes) -> Tensor:
@@ -138,7 +153,11 @@ def flatten(a: Tensor, row_modes) -> Tensor:
     axes = [m - 1 for m in rows] + [m - 1 for m in cols]
     nrow = int(np.prod([a.dims[m - 1] for m in rows], dtype=np.int64))
     ncol = int(np.prod([a.dims[m - 1] for m in cols], dtype=np.int64))
-    return Tensor(np.transpose(a.data, axes).reshape(nrow, ncol), a.mode)
+
+    def fold(x):
+        return np.transpose(x, axes).reshape(nrow, ncol)
+
+    return Tensor(fold(a.data) if a.mode == FLOAT else a.lanes.map(fold), a.mode)
 
 
 def matrix_rank(m: Tensor, tol: float | None = None) -> int:
@@ -146,7 +165,7 @@ def matrix_rank(m: Tensor, tol: float | None = None) -> int:
     if m.order != 2:
         raise ValueError("matrix_rank expects a 2-mode tensor")
     if m.mode == EXACT:
-        return elimination.exact_rank(m.data)
+        return elimination.exact_rank(m.lanes)
     return elimination.float_rank(m.data, tol)
 
 
@@ -170,10 +189,10 @@ def mlmul(a: Tensor, mats) -> Tensor:
         return Tensor(data, mode)
     # Each product contracts the leading mode and appends its image last, so
     # after all of them the modes are back in order.
-    lanes = to_lanes(a.data)
+    lanes = a.lanes
     for m in mats:
-        lanes = lane_dot(lanes, to_lanes(m.data), (0, 1))
-    return Tensor(from_lanes(*lanes), mode)
+        lanes = lane_dot(lanes, m.lanes, (0, 1))
+    return Tensor(lanes, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +206,23 @@ def tensors_equal(a: Tensor, b: Tensor) -> bool:
         return False
     if a.mode == FLOAT:
         return bool(np.array_equal(a.data, b.data))
-    fa, fb = a.data.reshape(-1), b.data.reshape(-1)
-    return all(as_exact(fa[i]) == as_exact(fb[i]) for i in range(fa.size))
+    # Canonical lanes: equal tensors have equal lanes.
+    (ar, ai, ad), (br, bi, bd) = a.lanes, b.lanes
+    if ad != bd or (ai is None) != (bi is None):
+        return False
+    return bool(np.array_equal(ar, br) and (ai is None or np.array_equal(ai, bi)))
 
 
 def is_zero(a: Tensor) -> bool:
     if a.mode == FLOAT:
         return not np.any(a.data)
-    return all(not as_exact(x) for x in a.data.reshape(-1))
+    return a.lanes.im is None and not any(a.lanes.re.flat)
 
 
 def scale(a: Tensor, c) -> Tensor:
     """Multiply every entry by the scalar ``c`` (mode-appropriate)."""
     if a.mode == EXACT:
-        return outer(a, Tensor(np.array(as_exact(c), dtype=object), EXACT))
+        return outer(a, Tensor(np.array(c, dtype=object), EXACT))
     return Tensor(a.data * complex(c), FLOAT)
 
 
@@ -208,4 +230,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     mode = check_same_mode(a.mode, b.mode)
     if a.dims != b.dims:
         raise ValueError("dims mismatch in tensor addition")
-    return Tensor(a.data + b.data, mode)
+    if mode == FLOAT:
+        return Tensor(a.data + b.data, mode)
+    (ar, ai, ad), (br, bi, bd) = a.lanes, b.lanes
+    im = None if ai is None and bi is None else (0 if ai is None else ai * bd) + (0 if bi is None else bi * ad)
+    return Tensor(Lanes(ar * bd + br * ad, im, ad * bd), mode)

@@ -100,7 +100,13 @@ def ttns_decompose(t: Tensor, g: NetworkGraph, tol: float | None = None) -> TNSt
         return _zero_state(t, g)
 
     exact = t.mode == EXACT
-    core = t.data
+    # The core is lanes in exact mode and an array in float mode; ``each``
+    # applies one rearrangement to it either way.
+    core = t.lanes if exact else t.data
+
+    def each(x, fn):
+        return x.map(fn) if exact else fn(x)
+
     labels: list[tuple[str, int]] = [("phys", i) for i in range(1, d + 1)]
     live_edges = set(range(1, g.c + 1))
     live_vertices = set(range(1, d + 1))
@@ -124,16 +130,14 @@ def ttns_decompose(t: Tensor, g: NetworkGraph, tol: float | None = None) -> TNSt
         shape = core.shape
         row_dims = [shape[labels.index(l)] for l in row_labels]
         col_dims = [shape[labels.index(l)] for l in col_labels]
-        mat = np.transpose(core, perm).reshape(
-            int(np.prod(row_dims, dtype=np.int64)), int(np.prod(col_dims, dtype=np.int64))
-        )
+        nrow, ncol = int(np.prod(row_dims, dtype=np.int64)), int(np.prod(col_dims, dtype=np.int64))
+        mat = each(core, lambda x: np.transpose(x, perm).reshape(nrow, ncol))
         if exact:
             rank, cmat, rmat = elimination.exact_rank_factor(mat)
         else:
             rank, cmat, rmat = elimination.float_rank_factor(mat, tol)
         edge_rank[e] = rank
 
-        factor = cmat.reshape(tuple(row_dims) + (rank,))
         # Reorder to the factor convention: incident edges ascending, then
         # the physical mode.  Current order is (attached asc, phys, new bond);
         # the freshly cut edge joins the attached bonds at its sorted slot.
@@ -141,9 +145,11 @@ def ttns_decompose(t: Tensor, g: NetworkGraph, tol: float | None = None) -> TNSt
         cur_axes[-leaf] = len(row_dims) - 1  # physical mode marker
         cur_axes[e] = len(row_dims)
         want = sorted(attached[leaf] + [e]) + [-leaf]
-        factors[leaf] = Tensor(np.transpose(factor, [cur_axes[x] for x in want]), t.mode)
+        axes = [cur_axes[x] for x in want]
+        factor = each(cmat, lambda x: np.transpose(x.reshape(tuple(row_dims) + (rank,)), axes))
+        factors[leaf] = Tensor(factor, t.mode)
 
-        core = rmat.reshape((rank,) + tuple(col_dims))
+        core = each(rmat, lambda x: x.reshape((rank,) + tuple(col_dims)))
         labels = [("bond", e)] + col_labels
         attached[neighbor].append(e)
         live_vertices.discard(leaf)
@@ -152,7 +158,7 @@ def ttns_decompose(t: Tensor, g: NetworkGraph, tol: float | None = None) -> TNSt
     root = next(iter(live_vertices))
     want = [("bond", x) for x in sorted(attached[root])] + [("phys", root)]
     axes = [labels.index(l) for l in want]
-    factors[root] = Tensor(np.transpose(core, axes), t.mode)
+    factors[root] = Tensor(each(core, lambda x: np.transpose(x, axes)), t.mode)
 
     ranks = tuple(edge_rank[e] for e in range(1, g.c + 1))
     return TNState(g, ranks, t.dims, tuple(factors[i] for i in range(1, d + 1)))

@@ -14,6 +14,7 @@ from tnrank.elimination import (
     float_rank_factor,
 )
 from tnrank.scalars import GaussianRational as GR
+from tnrank.scalars import from_lanes, to_lanes
 from tnrank.tensor import exact_tensor
 
 
@@ -25,6 +26,14 @@ RANK3_5X4 = [[0, 6, 0, 4], [6, -4, 4, -5], [-4, -3, 2, -2], [-4, 1, -2, 2], [-6,
 
 def _obj(rows):
     return exact_tensor(rows).data
+
+
+def _factor_product(mat):
+    """``C @ R`` of the exact rank factorization, as an object array."""
+    rank, cmat, rmat = exact_rank_factor(to_lanes(mat))
+    if not rank:
+        return np.zeros(mat.shape, dtype=object)
+    return from_lanes(*cmat) @ from_lanes(*rmat)
 
 
 def _naive_rank_over_q(rows):
@@ -47,10 +56,10 @@ def _naive_rank_over_q(rows):
 
 
 def test_exact_rank_small_known():
-    assert exact_rank(_obj([[1, 0], [0, 1]])) == 2
-    assert exact_rank(_obj([[1, 2], [2, 4]])) == 1
-    assert exact_rank(_obj([[0, 0], [0, 0]])) == 0
-    assert exact_rank(_obj(RANK3_5X4)) == 3
+    assert exact_rank(to_lanes(_obj([[1, 0], [0, 1]]))) == 2
+    assert exact_rank(to_lanes(_obj([[1, 2], [2, 4]]))) == 1
+    assert exact_rank(to_lanes(_obj([[0, 0], [0, 0]]))) == 0
+    assert exact_rank(to_lanes(_obj(RANK3_5X4))) == 3
 
 
 def test_exact_rank_matches_naive_reference_on_random_integers():
@@ -58,7 +67,7 @@ def test_exact_rank_matches_naive_reference_on_random_integers():
     for _ in range(60):
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
         rows = rng.integers(-5, 6, size=(m, n)).tolist()
-        assert exact_rank(_obj(rows)) == _naive_rank_over_q(rows)
+        assert exact_rank(to_lanes(_obj(rows))) == _naive_rank_over_q(rows)
 
 
 def test_exact_rank_rational_and_complex_entries():
@@ -67,26 +76,26 @@ def test_exact_rank_rational_and_complex_entries():
     mat[0, 1] = GR(Fraction(1, 6))
     mat[1, 0] = GR(Fraction(2, 3))
     mat[1, 1] = GR(Fraction(1, 3))
-    assert exact_rank(mat) == 1  # second row is twice the first
+    assert exact_rank(to_lanes(mat)) == 1  # second row is twice the first
 
     cm = np.empty((2, 2), dtype=object)
     cm[0, 0] = GR(1, 1)
     cm[0, 1] = GR(0, 2)
     cm[1, 0] = GR(1)
     cm[1, 1] = GR(1, 2)  # det = (1+i)(1+2i) - 2i = -1 + i, nonzero
-    assert exact_rank(cm) == 2
+    assert exact_rank(to_lanes(cm)) == 2
     cm[1, 0] = GR(2, 2)
     cm[1, 1] = GR(0, 4)  # now row2 = 2 * row1
-    assert exact_rank(cm) == 1
+    assert exact_rank(to_lanes(cm)) == 1
 
 
 def test_huge_entries_stay_exact():
     # Coefficient growth far past machine integers must stay exact.
     big = 10**40
     mat = _obj([[big, 2 * big], [3 * big, 6 * big]])
-    assert exact_rank(mat) == 1
+    assert exact_rank(to_lanes(mat)) == 1
     mat2 = _obj([[big, 2 * big], [3 * big, 6 * big + 1]])
-    assert exact_rank(mat2) == 2
+    assert exact_rank(to_lanes(mat2)) == 2
 
 
 def test_exact_row_reduce_reconstructs():
@@ -94,15 +103,15 @@ def test_exact_row_reduce_reconstructs():
     for _ in range(40):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         mat = _obj(rng.integers(-4, 5, size=(m, n)).tolist())
-        rank, pivots, rref = exact_row_reduce(mat)
-        assert rank == exact_rank(mat)
+        rank, pivots, rref = exact_row_reduce(to_lanes(mat))
+        assert rank == exact_rank(to_lanes(mat))
         assert len(pivots) == rank
         # pivot structure: unit columns at the pivots
+        rref = from_lanes(*rref)
         for k, c in enumerate(pivots):
             for i in range(rank):
                 assert rref[i, c] == (GR(1) if i == k else GR(0))
-        _, cmat, rmat = exact_rank_factor(mat)
-        prod = cmat @ rmat if rank else np.zeros((m, n), dtype=object)
+        prod = _factor_product(mat)
         for i in range(m):
             for j in range(n):
                 assert GR(0) + prod[i, j] == mat[i, j]
@@ -142,7 +151,7 @@ def test_exact_vs_float_cross_check():
     rng = np.random.default_rng(5)
     for _ in range(25):
         rows = rng.integers(-1000, 1001, size=(5, 6)).tolist()
-        assert exact_rank(_obj(rows)) == float_rank(np.array(rows, dtype=complex))
+        assert exact_rank(to_lanes(_obj(rows))) == float_rank(np.array(rows, dtype=complex))
 
 
 @st.composite
@@ -172,10 +181,11 @@ def test_planted_rank_and_rref_match_sympy(rows):
     mat = _obj(rows)
     m, n = mat.shape
     sym = sympy.Matrix(m, n, lambda i, j: _sym(mat[i, j]))
-    rank = exact_rank(mat)
+    rank = exact_rank(to_lanes(mat))
     assert rank == sym.rank()
 
-    rank2, pivots, rref = exact_row_reduce(mat)
+    rank2, pivots, rref = exact_row_reduce(to_lanes(mat))
+    rref = from_lanes(*rref)
     sym_rref, sym_pivots = sym.rref()
     assert rank2 == rank
     assert tuple(pivots) == sym_pivots
@@ -183,8 +193,7 @@ def test_planted_rank_and_rref_match_sympy(rows):
         for j in range(n):
             assert sympy.expand(sympy.radsimp(sym_rref[i, j] - _sym(rref[i, j]))) == 0
 
-    _, cmat, rmat = exact_rank_factor(mat)
-    prod = cmat @ rmat if rank else np.zeros((m, n), dtype=object)
+    prod = _factor_product(mat)
     for i in range(m):
         for j in range(n):
             assert GR(0) + prod[i, j] == mat[i, j]

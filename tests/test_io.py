@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tnrank import gallery, io
 from tnrank.graph import cycle_graph
@@ -169,3 +171,102 @@ def test_unknown_key_is_an_error_line_in_the_cli(tmp_path, capsys):
     assert main(["rank", str(tmp_path / "t.json"), str(tmp_path / "p2.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'imag'" in err
+
+
+def _rank_error(tmp_path, capsys, doc):
+    """The stderr of ``tnrank rank`` on a tensor document and P_2."""
+    from tnrank.cli import main
+
+    io.dump(doc, tmp_path / "t.json")
+    io.dump({"d": 2, "edges": [[1, 2]]}, tmp_path / "p2.json")
+    assert main(["rank", str(tmp_path / "t.json"), str(tmp_path / "p2.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_document_that_is_not_an_object_is_an_error_line(tmp_path, capsys):
+    assert "tensor document must be a JSON object" in _rank_error(tmp_path, capsys, ["x"])
+
+
+def test_sparse_entry_that_is_not_an_object_is_an_error_line(tmp_path, capsys):
+    doc = {"dims": [1, 1], "scalar": "exact", "sparse": [[1, "1"]]}
+    assert "sparse[0] must be a JSON object" in _rank_error(tmp_path, capsys, doc)
+
+
+def test_dims_that_are_not_a_list_are_an_error_line(tmp_path, capsys):
+    doc = {"dims": 2, "scalar": "exact", "dense": ["1", "0"]}
+    assert "'dims' must be a JSON array" in _rank_error(tmp_path, capsys, doc)
+
+
+def test_sparse_index_that_is_not_a_list_is_an_error_line(tmp_path, capsys):
+    doc = {"dims": [2, 2], "scalar": "exact", "sparse": [{"idx": 1, "re": "1"}]}
+    assert "sparse[0]: 'idx' must be a JSON array" in _rank_error(tmp_path, capsys, doc)
+
+
+def test_zero_denominator_is_an_error_line(tmp_path, capsys):
+    doc = {"dims": [2, 2], "scalar": "exact", "dense": ["1", "1/0", "0", "2"]}
+    assert "dense[1]: '1/0' is not a valid exact entry" in _rank_error(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ("x", "state document must be a JSON object"),
+        ({"factors": 3}, "'factors' must be a JSON array"),
+        ({"graph": {"d": 2, "edges": [[1, 2]]}, "edge_dims": [1], "vertex_dims": [1, 1], "factors": [{"dims": [1, "1"]}]},
+         "factors[0]: tensor document: 'dims'"),
+        ({"graph": {"d": 2, "edges": [1]}, "edge_dims": [1], "vertex_dims": [1, 1], "factors": []}, "edges[0]"),
+        ({"graph": [], "edge_dims": [1], "vertex_dims": [1, 1], "factors": []}, "graph document"),
+        ({"graph": {"d": 2, "edges": [[1, 2]]}, "edge_dims": 1, "vertex_dims": [1, 1], "factors": []}, "'edge_dims'"),
+    ],
+)
+def test_malformed_state_documents_name_the_field(doc, field):
+    with pytest.raises(ValueError) as info:
+        io.state_from_json(doc)
+    assert field in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([1], "CP document must be a JSON object"),
+        ({"order": "2", "scalar": "exact", "terms": []}, "'order' must be a JSON integer"),
+        ({"order": 1, "scalar": "exact", "terms": [["1"]]}, "terms[0] must be an array of vectors"),
+        ({"order": 1, "scalar": "exact", "terms": [[["1", {}]]]}, "terms[0][0][1]"),
+        ({"order": 1, "scalar": "float", "terms": [[[[1, "nan"]]]]}, "terms[0][0][0]: non-finite"),
+        ({"order": 1, "scalar": "real", "terms": []}, "unknown scalar mode 'real'"),
+    ],
+)
+def test_malformed_cp_documents_name_the_field(doc, field):
+    with pytest.raises(ValueError) as info:
+        io.cp_from_json(doc)
+    assert field in str(info.value)
+
+
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(allow_nan=True),
+    st.sampled_from(["1", "1/2", "-3/4", "x", "1/0", "nan", "exact", "float"]),
+)
+_KEYS = st.sampled_from(["dims", "scalar", "dense", "sparse", "idx", "re", "im", "graph", "d", "edges",
+                         "edge_dims", "vertex_dims", "factors", "order", "terms"])
+_JSON = st.recursive(_LEAF, lambda ch: st.lists(ch, max_size=4) | st.dictionaries(_KEYS, ch, max_size=5),
+                     max_leaves=20)
+_TENSOR_DOC = st.fixed_dictionaries(
+    {"dims": st.lists(st.integers(-1, 3), max_size=3) | _JSON, "scalar": st.sampled_from(["exact", "float", "x"])},
+    optional={"dense": _JSON, "sparse": _JSON | st.lists(st.fixed_dictionaries(
+        {"idx": st.lists(st.integers(0, 3), max_size=3) | _JSON}, optional={"re": _LEAF, "im": _LEAF}))},
+)
+_CP_DOC = st.fixed_dictionaries({"order": st.integers(0, 3), "scalar": st.sampled_from(["exact", "float"]), "terms": _JSON})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(reader=st.sampled_from(["tensor", "state", "cp", "graph"]), doc=_JSON | _TENSOR_DOC | _CP_DOC)
+def test_readers_refuse_malformed_documents_with_value_error(reader, doc):
+    # Any JSON value is either read or refused with ValueError (GraphError
+    # is one), so the CLI always ends in an ``error:`` line.
+    try:
+        getattr(io, f"{reader}_from_json")(doc)
+    except ValueError:
+        pass

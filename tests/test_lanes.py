@@ -1,16 +1,20 @@
-"""Exact products on integer lanes against np.tensordot over GaussianRational."""
+"""Exact tensors on integer lanes: products against np.tensordot over
+GaussianRational, canonical form, and conversions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tnrank import gallery, io, scalars
+from tnrank.elimination import exact_rank_factor
 from tnrank.graph import complete_graph, cycle_graph, path_graph, star_graph
 from tnrank.network import TNState, contract_network, environment
 from tnrank.scalars import GaussianRational as GR
-from tnrank.scalars import as_exact, from_lanes, to_lanes
-from tnrank.tensor import Tensor, exact_tensor, lane_dot, mlmul, outer
-from tnrank.tree_rank import ttns_decompose
+from tnrank.scalars import Lanes, as_exact, canonical, from_lanes, to_lanes
+from tnrank.tensor import Tensor, add, exact_tensor, lane_dot, mlmul, outer, scale, tensors_equal, zeros
+from tnrank.tree_rank import ttns_decompose, ttns_rank
 
 KINDS = ("plain", "int", "rational", "gaussian")
 GRAPHS = (path_graph(3), cycle_graph(3), star_graph(4), complete_graph(4))
@@ -56,6 +60,16 @@ def _reference(graph, arrays, omit=None):
     return np.transpose(out, [labels.index(l) for l in want])
 
 
+def _assert_canonical(lanes):
+    re, im, den = lanes
+    assert isinstance(lanes, Lanes) and type(den) is int and den > 0
+    for lane in (re, im):
+        assert lane is None or (lane.dtype == object and all(type(x) is int for x in lane.flat))
+    nums = list(re.flat) + ([] if im is None else list(im.flat))
+    assert math.gcd(den, *nums) == 1
+    assert im is None or any(im.flat)
+
+
 def _assert_same(got, ref):
     got, ref = np.asarray(got, dtype=object), np.asarray(ref, dtype=object)
     assert got.shape == ref.shape
@@ -84,8 +98,11 @@ def test_contraction_and_environments_match_tensordot(graph, kinds, bond, phys, 
         arrays.append(_entries(rng, shape, kinds[i - 1]))
     state = TNState(graph, edge_dims, vertex_dims, tuple(Tensor(a, "exact") for a in arrays))
     _assert_same(contract_network(state).data, _reference(graph, arrays))
+    _assert_canonical(contract_network(state).lanes)
     for i in range(1, graph.d + 1):
-        _assert_same(environment(graph, state.factors, i), _reference(graph, arrays, i))
+        env = environment(graph, state.factors, i)
+        _assert_canonical(env)
+        _assert_same(from_lanes(*env), _reference(graph, arrays, i))
 
 
 @SETTINGS
@@ -103,6 +120,7 @@ def test_mlmul_matches_tensordot(dims, rows, kinds, seed):
     for i, m in enumerate(mats):
         ref = np.moveaxis(np.tensordot(m, ref, axes=(1, i)), 0, i)
     got = mlmul(Tensor(data, "exact"), [Tensor(m, "exact") for m in mats])
+    _assert_canonical(got.lanes)
     _assert_same(got.data, ref)
 
 
@@ -121,7 +139,7 @@ def test_outer_and_full_contraction_match_tensordot(dims, kinds, seed):
     _assert_same(outer(Tensor(a, "exact"), Tensor(b, "exact")).data, np.tensordot(a, b, axes=0))
     c = _entries(rng, a.shape, kinds[1])
     full = lane_dot(to_lanes(a), to_lanes(c), a.ndim)
-    _assert_same(from_lanes(*full), np.tensordot(a, c, axes=a.ndim))
+    _assert_same(from_lanes(*canonical(*full)), np.tensordot(a, c, axes=a.ndim))
 
 
 def test_lanes_round_trip_and_share_one_denominator():
@@ -138,3 +156,99 @@ def test_decompose_then_contract_reproduces_a_complex_tensor():
     for g in (path_graph(4), star_graph(4)):
         back = contract_network(ttns_decompose(t, g))
         _assert_same(back.data, t.data)
+
+
+@SETTINGS
+@given(
+    dims=st.lists(st.integers(0, 3), max_size=3),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+    c=st.sampled_from([0, 2, Fraction(-3, 4), GR(Fraction(1, 2), 3), GR(0, 1)]),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=[2, 2], kinds=["rational", "rational"], c=Fraction(-3, 4), seed=0)
+def test_every_exact_result_is_canonical(dims, kinds, c, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (Tensor(_entries(rng, tuple(dims), k), "exact") for k in kinds)
+    results = [a, b, outer(a, b), scale(a, c), add(a, b), add(a, scale(a, -1))]
+    for t in results:
+        _assert_canonical(t.lanes)
+    assert tensors_equal(add(a, scale(a, -1)), zeros(dims, "exact"))
+    if len(dims) == 2:
+        rank, cmat, rmat = exact_rank_factor(a.lanes)
+        _assert_canonical(cmat)
+        _assert_canonical(rmat)
+        assert cmat.shape == (dims[0], rank) and rmat.shape == (rank, dims[1])
+
+
+def test_equal_values_give_equal_tensors():
+    half = exact_tensor([Fraction(2, 4), Fraction(3, 2)])
+    assert tensors_equal(half, exact_tensor([Fraction(1, 2), GR(Fraction(6, 4))]))
+    unreduced = Tensor(Lanes(np.array([2, 6], dtype=object), np.array([0, 0], dtype=object), 4), "exact")
+    assert tensors_equal(unreduced, half)
+    assert unreduced.lanes.den == 2 and unreduced.lanes.im is None
+    negative = Tensor(Lanes(np.array([-1, -3], dtype=object), None, -2), "exact")
+    assert tensors_equal(negative, half) and negative.lanes.den == 2
+
+
+@SETTINGS
+@given(
+    dims=st.lists(st.integers(0, 3), max_size=3),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**16),
+)
+def test_data_round_trip_and_bit_identical_floats(dims, kind, seed):
+    arr = _entries(np.random.default_rng(seed), tuple(dims), kind)
+    t = Tensor(arr, "exact")
+    _assert_same(t.data, arr)
+    assert not t.data.flags.writeable and t.data is t.data
+    want = np.array([as_exact(x).to_complex() for x in arr.flat], dtype=np.complex128).reshape(arr.shape)
+    got = t.to_float().data
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_to_float_rounds_huge_and_tiny_entries_like_to_complex():
+    vals = [GR(Fraction(10**400 + 1, 3 * 10**399)), GR(Fraction(-1, 10**330), Fraction(2, 7)), GR(Fraction(1, 3))]
+    t = exact_tensor(vals)
+    want = np.array([v.to_complex() for v in vals], dtype=np.complex128)
+    assert t.to_float().data.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(rows=st.integers(1, 4), inner=st.integers(0, 3), cols=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(rows=3, inner=2, cols=3, seed=5)
+def test_rank_factor_reproduces_a_gaussian_matrix(rows, inner, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = _entries(rng, (rows, inner), "gaussian") @ _entries(rng, (inner, cols), "gaussian") if inner else (
+        np.zeros((rows, cols), dtype=object)
+    )
+    rank, cmat, rmat = exact_rank_factor(to_lanes(m))
+    assert rank <= inner
+    back = from_lanes(*cmat) @ from_lanes(*rmat) if rank else np.zeros((rows, cols), dtype=object)
+    assert all(GR(0) + x == as_exact(y) for x, y in zip(back.flat, m.flat))
+
+
+def test_rank_decompose_contract_build_no_gaussian_rationals(monkeypatch):
+    # Exact rank -> decompose -> serialize -> contract -> compare runs on
+    # integer lanes alone: no GaussianRational is built on the way.
+    rng = np.random.default_rng(11)
+    shape = (3, 4, 2, 3)
+    nums, dens = rng.integers(-3, 4, size=shape), rng.integers(1, 5, size=shape)
+    rational = exact_tensor([Fraction(int(a), int(b)) for a, b in zip(nums.flat, dens.flat)])
+    rational = Tensor(rational.lanes.map(lambda x: x.reshape(shape)), "exact")
+    w6_doc = io.tensor_to_json(gallery.w_state(6).tensor)
+    calls = []
+    init = scalars.GaussianRational.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scalars.GaussianRational, "__init__", counting_init)
+    for t in (rational, io.tensor_from_json(w6_doc)):
+        for g in (path_graph(t.order), star_graph(t.order)):
+            ranks = ttns_rank(t, g)
+            state = ttns_decompose(t, g)
+            io.state_to_json(state)
+            assert tensors_equal(contract_network(state), t)
+            assert ranks == state.edge_dims
+    assert not calls
