@@ -25,6 +25,13 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _seeds(text: str) -> tuple[int, ...]:
+    seeds = _int_tuple(text)
+    if not seeds:
+        raise argparse.ArgumentTypeError("needs at least one seed")
+    return seeds
+
+
 def _load_tensor(path, mode: str | None):
     t = io.tensor_from_json(io.load(path))
     if mode is None or mode == t.mode:
@@ -56,7 +63,7 @@ def main(argv=None) -> int:
         p.add_argument("--mode", choices=[EXACT, FLOAT], default=None,
                        help="convert the input tensor to this scalar mode")
         p.add_argument("--tol", type=float, default=None,
-                       help="relative rank tolerance (float mode)")
+                       help="relative rank tolerance in [0, 1) (float mode)")
 
     _subcommand(sub, "contract", _cmd_contract, "contract a state file to a tensor", "state")
     _subcommand(sub, "embed", _cmd_embed, "embed a CP decomposition on a graph", "cp", "graph")
@@ -65,7 +72,7 @@ def main(argv=None) -> int:
     p.add_argument("--graph", required=False)
     p.add_argument("--edge-dims", type=_int_tuple, default=None)
     p.add_argument("--vertex-dims", type=_int_tuple, default=None)
-    p.add_argument("--seeds", type=_int_tuple, default=(0, 1, 2))
+    p.add_argument("--seeds", type=_seeds, default=(0, 1, 2))
     p.add_argument("--matmul-params", type=int, default=None, metavar="N",
                    help="emit the parameter-count report for the N x N matrix product instead")
 

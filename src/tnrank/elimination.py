@@ -1,16 +1,26 @@
 """Matrix rank and rank-revealing factorization in both scalar modes.
 
-Exact mode works over the Gaussian rationals, on a matrix given as canonical
-integer lanes (:class:`~tnrank.scalars.Lanes`): the integer matrix
-``den * M`` has the rank and the reduced row echelon form of ``M``, so its
-rows are the input, Python ints for real lanes and Gaussian integers
-otherwise.  One fraction-free (Bareiss) elimination kernel serves every
-exact entry point: its forward sweep gives the rank, and with the rows above
-each pivot swept too it gives the reduced row echelon form as integer
+Exact mode works over the Gaussian rationals Q(i), on a matrix ``M`` given
+as canonical integer lanes (:class:`~tnrank.scalars.Lanes`).  The integer
+matrix ``den * M`` has the rank and the reduced row echelon form of ``M``.
+One fraction-free (Bareiss) elimination kernel on Python-int rows serves
+every exact entry point: its forward sweep gives the rank, and with the rows
+above each pivot swept too it gives the reduced row echelon form as integer
 numerators over one common denominator.  Every intermediate value is a minor
 of the integer matrix, so coefficient growth stays polynomial, and Python's
-arbitrary-precision integers keep the result exact for any input.  Float
-mode uses singular values with a relative tolerance.
+arbitrary-precision integers keep the result exact for any input.
+
+Complex input goes through the real 2x2 embedding ``E``: each entry
+``a + bi`` becomes the block ``[[a, -b], [b, a]]``, rows and columns
+interleaved.  ``E`` is an injective ring homomorphism, so
+``rank_Q E(M) = 2 rank_Q(i) M``; the pivots come in pairs ``(2j, 2j + 1)``,
+with column ``j`` of ``M`` a pivot exactly when ``2j`` is; and by the
+uniqueness of the reduced form, the real reduced form of ``E(M)`` is
+``E(RREF(M))``.  So the reduced form of ``M`` is read off the even rows of
+the reduced embedding: real parts at even columns, imaginary parts negated
+at odd ones.
+
+Float mode uses singular values with a relative tolerance in [0, 1).
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .scalars import GaussianRational, Lanes, canonical, to_lanes
+from .scalars import Lanes, canonical
 
 
 class RankToleranceWarning(UserWarning):
@@ -37,29 +47,33 @@ def default_float_tol(shape) -> float:
 
 
 def _int_rows(m: Lanes):
-    """Rows of ``den * M``: ints when real, Gaussian-integer GaussianRationals otherwise."""
+    """Rows of the integer matrix ``den * M``, or of its real embedding when complex."""
     if len(m.shape) != 2:
         raise ValueError("exact elimination expects a 2-d array")
     if m.im is None:
-        return m.re.tolist(), True
-    return [[GaussianRational(a, b) for a, b in zip(*ri)] for ri in zip(m.re.tolist(), m.im.tolist())], False
+        return m.re.tolist()
+    rows = []
+    for re, im in zip(m.re.tolist(), m.im.tolist()):
+        rows.append([x for a, b in zip(re, im) for x in (a, -b)])
+        rows.append([x for a, b in zip(re, im) for x in (b, a)])
+    return rows
 
 
-def _bareiss(rows, is_real: bool, reduce: bool):
-    """Fraction-free (Bareiss) elimination on integer rows, in place.
+def _bareiss(rows, reduce: bool):
+    """Fraction-free (Bareiss) elimination on Python-int rows, in place.
 
     Columns are scanned left to right and the first nonzero row at or below
     the current one becomes the pivot row.  With pivot ``p`` and previous
     pivot ``prev``, every other row ``ri`` in the sweep becomes
-    ``(p*ri - ri[col]*rk) / prev``.  By Sylvester's identity each quotient
-    is a minor of the integer matrix, so the division is exact: ``//`` on ints, ``/``
-    on Gaussian integers.  Rows whose pivot-column entry is zero are scaled
-    too; skipping them breaks the invariant.
+    ``(p*ri - ri[col]*rk) // prev``.  By Sylvester's identity each quotient
+    is a minor of the integer matrix, so the division is exact.  Rows whose
+    pivot-column entry is zero are scaled too; skipping them breaks the
+    invariant.
 
     The sweep covers the rows below the pivot, so the pivot count is the
     rank.  With ``reduce`` it also covers the rows above (fraction-free
     Gauss-Jordan): every pivot then ends equal to the last one, ``d``, and
-    the reduced row echelon form is ``rows[:rank] / d``.
+    the reduced row echelon form is ``rows[:rank]`` divided by ``d``.
 
     Returns ``(pivot_cols, d)``.
     """
@@ -83,19 +97,16 @@ def _bareiss(rows, is_real: bool, reduce: bool):
             ri = rows[i]
             f = ri[col]
             start = pivots[i] if i < k else col  # ri is zero before start
-            if is_real:
-                ri[start:] = [(p * a - f * b) // prev for a, b in zip(ri[start:], rk[start:])]
-            else:
-                ri[start:] = [(p * a - f * b) / prev for a, b in zip(ri[start:], rk[start:])]
+            ri[start:] = [(p * a - f * b) // prev for a, b in zip(ri[start:], rk[start:])]
         pivots.append(col)
         prev = p
     return pivots, prev
 
 
 def exact_rank(m: Lanes) -> int:
-    """Rank over the rationals of an exact matrix."""
-    rows, is_real = _int_rows(m)
-    return len(_bareiss(rows, is_real, reduce=False)[0])
+    """Rank over the Gaussian rationals of an exact matrix."""
+    rank = len(_bareiss(_int_rows(m), reduce=False)[0])
+    return rank if m.im is None else rank // 2
 
 
 def exact_row_reduce(m: Lanes):
@@ -106,13 +117,12 @@ def exact_row_reduce(m: Lanes):
     ``m[:, pivot_cols] @ rref`` exactly.  Pivoting scans columns left to
     right and takes the first nonzero row, so the output is deterministic.
     """
-    rows, is_real = _int_rows(m)
-    pivots, d = _bareiss(rows, is_real, reduce=True)
-    shape = (len(pivots), m.shape[1])
-    if is_real:
-        return len(pivots), pivots, canonical(np.array(rows[: shape[0]], dtype=object).reshape(shape), None, d)
-    rref = np.array([[x / d for x in row] for row in rows[: shape[0]]], dtype=object)
-    return len(pivots), pivots, to_lanes(rref.reshape(shape))
+    rows = _int_rows(m)
+    pivots, d = _bareiss(rows, reduce=True)
+    k = 1 if m.im is None else 2  # side of the embedding's blocks
+    red = np.array(rows[: len(pivots)], dtype=object).reshape(len(pivots), k * m.shape[1])
+    im = None if k == 1 else -red[::2, 1::2]  # see the module docstring
+    return len(pivots) // k, [c // k for c in pivots[::k]], canonical(red[::k, ::k], im, d)
 
 
 def exact_rank_factor(m: Lanes):
@@ -146,6 +156,8 @@ def float_rank_factor(mat: np.ndarray, tol: float | None = None):
 
 def _svd_rank(s, shape, tol):
     """Count the singular values above ``tol * s[0]``; warn when the count is close."""
+    if tol is not None and not 0.0 <= tol < 1.0:  # also refuses NaN
+        raise ValueError(f"tol must be a finite number in [0, 1), not {tol!r}")
     if s.size == 0 or s[0] == 0.0:
         return 0
     thresh = (default_float_tol(shape) if tol is None else tol) * s[0]

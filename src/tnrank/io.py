@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import NetworkGraph
 from .network import CPDecomposition, TNState
-from .scalars import EXACT, FLOAT, as_exact, parts_to_lanes
+from .scalars import EXACT, FLOAT, parts_to_lanes
 from .tensor import Tensor
 
 
@@ -41,14 +41,6 @@ def _ints(doc, key: str, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _entry_to_json(x, mode: str):
-    if mode == EXACT:
-        g = as_exact(x)
-        return [str(g.re), str(g.im)]
-    c = complex(x)
-    return [c.real, c.imag]
-
-
 def _fraction(v):
     """An int or Fraction from a JSON number or a string like ``"-3/7"`` or ``"0.5"``."""
     if type(v) is int:
@@ -64,6 +56,15 @@ def _ratio(a: int, den: int) -> str:
     """``str(Fraction(a, den))`` for ints, ``den > 0``."""
     g = math.gcd(a, den)
     return str(a // g) if g == den else f"{a // g}/{den // g}"
+
+
+def _entries_to_json(t: Tensor) -> list:
+    """Every entry of ``t`` in flat order as ``[re, im]``: fraction strings when exact, floats otherwise."""
+    if t.mode == FLOAT:
+        return [[c.real, c.imag] for c in t.data.reshape(-1).tolist()]
+    re, im, den = t.lanes
+    ims = itertools.repeat(0) if im is None else im.flat
+    return [[_ratio(a, den), _ratio(b, den)] for a, b in zip(re.flat, ims)]
 
 
 def _entry_from_json(v, mode: str, where: str):
@@ -91,7 +92,7 @@ def tensor_to_json(t: Tensor) -> dict:
             for idx, a, b in zip(np.argwhere(nonzero).tolist(), re[nonzero], ims)
         ]
     else:
-        doc["dense"] = [_entry_to_json(x, FLOAT) for x in t.data.reshape(-1)]
+        doc["dense"] = _entries_to_json(t)
     return doc
 
 
@@ -190,10 +191,7 @@ def cp_to_json(cp: CPDecomposition) -> dict:
     return {
         "order": cp.order,
         "scalar": cp.mode,
-        "terms": [
-            [[_entry_to_json(x, cp.mode) for x in v.data] for v in term]
-            for term in cp.terms
-        ],
+        "terms": [[_entries_to_json(v) for v in term] for term in cp.terms],
     }
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graph import GraphError, NetworkGraph, incident_weight_product, validate_rank_tuple
-from .scalars import EXACT, FLOAT, GaussianRational, Lanes, canonical, check_same_mode, to_lanes
+from .scalars import EXACT, FLOAT, Lanes, canonical, check_same_mode, to_lanes
 from .tensor import Tensor
 
 
@@ -275,25 +275,24 @@ def universal_embed(cp: CPDecomposition, g: NetworkGraph) -> TNState:
     if g.d > 1 and any(g.degree(i) == 0 for i in range(1, g.d + 1)):
         raise GraphError("graph has an isolated vertex")
     r = cp.rank
-    mode = cp.mode
-    dims = cp.vertex_dims
     factors = []
     for i in range(1, g.d + 1):
         deg = g.degree(i)
-        shape = (r,) * deg + (dims[i - 1],)
-        if mode == EXACT:
-            data = np.full(shape, GaussianRational(0), dtype=object)
-        else:
-            data = np.zeros(shape, dtype=np.complex128)
-        if deg == 0:
-            # Single-vertex graph: the factor is the plain CP sum.
-            for p in range(r):
-                data = data + cp.terms[p][i - 1].data
-        else:
-            for p in range(r):
-                data[(p,) * deg] = cp.terms[p][i - 1].data
-        factors.append(Tensor(data, mode))
-    return TNState(g, (r,) * g.c, dims, tuple(factors))
+        # Row p holds the i-th vector of CP term p.
+        rows = functools.reduce(
+            tz.add, [tz.outer(tz.basis_vector(r, p + 1, cp.mode), term[i - 1]) for p, term in enumerate(cp.terms)]
+        )
+
+        def place(x):
+            # Row p at bond index (p, ..., p); with no bond (a single vertex) the plain CP sum.
+            if deg == 0:
+                return x.sum(axis=0)
+            out = np.zeros((r,) * deg + x.shape[1:], dtype=x.dtype)
+            out[(np.arange(r),) * deg] = x
+            return out
+
+        factors.append(Tensor(place(rows.data) if rows.lanes is None else rows.lanes.map(place), cp.mode))
+    return TNState(g, (r,) * g.c, cp.vertex_dims, tuple(factors))
 
 
 def environment(graph: NetworkGraph, factors, i: int):

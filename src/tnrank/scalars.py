@@ -12,9 +12,11 @@ explicit.
 An exact array is stored as integer lanes, :class:`Lanes` ``(re, im, den)``:
 object arrays of Python ints over one shared denominator, ``im`` None when
 every entry is real, kept canonical by :func:`canonical` so that equal
-arrays have equal lanes.  :class:`GaussianRational` is the scalar type, for
-single entries and hand-built fixtures; :func:`to_lanes` and
-:func:`from_lanes` convert arrays of it.
+arrays have equal lanes.  Every exact computation in the package (products,
+elimination, the gallery's constructions, serialization) runs on lanes and
+Python ints.  :class:`GaussianRational` is the public scalar type: the
+entries of an exact tensor's ``.data`` and of hand-written input.
+:func:`to_lanes` and :func:`from_lanes` convert arrays of it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     # -- helpers -----------------------------------------------------------
 

@@ -57,6 +57,10 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refusing __setattr__.
+        return Tensor, (self.data if self.lanes is None else self.lanes, self.mode)
+
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape if self.lanes is None else self.lanes.shape

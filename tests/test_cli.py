@@ -106,6 +106,34 @@ def test_missing_file_fails(workdir, capsys):
     assert main(["rank", "nope.json", "p3.json"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "m.json", "p2.json", "--tol", "nan"],
+        ["rank", "m.json", "p2.json", "--tol", "inf"],
+        ["rank", "m.json", "p2.json", "--tol", "-1"],
+        ["decompose", "m.json", "p2.json", "--tol", "2", "--out", "st.json"],
+    ],
+    ids=["rank-nan", "rank-inf", "rank-negative", "decompose-above-one"],
+)
+def test_bad_float_tolerance_is_an_error_line(workdir, capsys, argv):
+    io.dump({"dims": [2, 2], "scalar": "float", "dense": [[1, 0], [2, 0], [3, 0], [4, 0]]}, "m.json")
+    _write_graph("p2.json", 2, [[1, 2]])
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "tol" in out.err and not out.out
+    assert not (workdir / "st.json").exists()
+
+
+def test_dim_refuses_an_empty_seed_list(workdir, capsys):
+    _write_graph("p2.json", 2, [[1, 2]])
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--graph", "p2.json", "--edge-dims", "2", "--vertex-dims", "2,2", "--seeds", ""])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
 def test_verify_filter_report_schema_and_determinism(workdir, capsys):
     import importlib.resources as resources
 

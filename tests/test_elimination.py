@@ -23,6 +23,11 @@ from tnrank.tensor import exact_tensor
 # reports rank 4.
 RANK3_5X4 = [[0, 6, 0, 4], [6, -4, 4, -5], [-4, -3, 2, -2], [-4, 1, -2, 2], [-6, 0, 0, 1]]
 
+# Rank 2 over Q(i) (row 3 = row 1 + i * row 2), so rank 4 of 6 in the real
+# embedding; the first pivot, 2i, is purely imaginary, so its real block
+# [[0, -2], [2, 0]] pivots on its second row.
+IMAG_PIVOT_3X3 = [[GR(0, 2), GR(1, 1), GR(3)], [GR(0, 1), GR(2), GR(0, -1)], [GR(-1, 2), GR(1, 3), GR(4)]]
+
 
 def _obj(rows):
     return exact_tensor(rows).data
@@ -176,6 +181,7 @@ def _sym(g):
 
 @settings(max_examples=250, derandomize=True, deadline=None)
 @example(rows=RANK3_5X4)
+@example(rows=IMAG_PIVOT_3X3)
 @given(rows=_planted_low_rank())
 def test_planted_rank_and_rref_match_sympy(rows):
     mat = _obj(rows)

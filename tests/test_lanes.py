@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tnrank import gallery, io, scalars
 from tnrank.elimination import exact_rank_factor
 from tnrank.graph import complete_graph, cycle_graph, path_graph, star_graph
-from tnrank.network import TNState, contract_network, environment
+from tnrank.network import TNState, contract_network, environment, universal_embed
 from tnrank.scalars import GaussianRational as GR
 from tnrank.scalars import Lanes, as_exact, canonical, from_lanes, to_lanes
 from tnrank.tensor import Tensor, add, exact_tensor, lane_dot, mlmul, outer, scale, tensors_equal, zeros
@@ -228,13 +228,23 @@ def test_rank_factor_reproduces_a_gaussian_matrix(rows, inner, cols, seed):
 
 
 def test_rank_decompose_contract_build_no_gaussian_rationals(monkeypatch):
-    # Exact rank -> decompose -> serialize -> contract -> compare runs on
-    # integer lanes alone: no GaussianRational is built on the way.
+    # Building the gallery fixtures, embedding and serializing a CP, and exact
+    # rank -> decompose -> serialize -> contract -> compare on real and
+    # complex input run on ints and integer lanes alone: no GaussianRational
+    # is built on the way.
     rng = np.random.default_rng(11)
     shape = (3, 4, 2, 3)
     nums, dens = rng.integers(-3, 4, size=shape), rng.integers(1, 5, size=shape)
     rational = exact_tensor([Fraction(int(a), int(b)) for a, b in zip(nums.flat, dens.flat)])
     rational = Tensor(rational.lanes.map(lambda x: x.reshape(shape)), "exact")
+    cshape = (2, 3, 2, 2)
+    lane = [np.array(rng.integers(-3, 4, size=cshape).tolist(), dtype=object) for _ in range(2)]
+    gaussian = Tensor(Lanes(lane[0], lane[1], 3), "exact")
+    vectors = [
+        Tensor(Lanes(np.array([1, 0, 2], dtype=object), np.array([0, -1, 1], dtype=object), 2), "exact"),
+        exact_tensor([Fraction(1, 3), 0, 1]),
+        exact_tensor([0, 5, -1]),
+    ]
     w6_doc = io.tensor_to_json(gallery.w_state(6).tensor)
     calls = []
     init = scalars.GaussianRational.__init__
@@ -244,7 +254,23 @@ def test_rank_decompose_contract_build_no_gaussian_rationals(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(scalars.GaussianRational, "__init__", counting_init)
-    for t in (rational, io.tensor_from_json(w6_doc)):
+    fixtures = [
+        gallery.w_state(4),
+        gallery.ghz_state(4),
+        gallery.strassen(2, 3, 2),
+        gallery.decomposable_sym(vectors),
+        gallery.decomposable_skew(vectors),
+        gallery.monomial_tensor((2, 1, 1)),
+        gallery.border_example(3, 2),
+        gallery.border_example(4, 2),
+    ]
+    assert not calls, "gallery"
+    mu = gallery.strassen(2, 2, 2)
+    assert tensors_equal(contract_network(universal_embed(mu.cp, gallery.strassen_graph())), mu.tensor)
+    io.cp_to_json(mu.cp)
+    io.cp_to_json(fixtures[0].cp)
+    assert not calls, "universal_embed or cp_to_json"
+    for t in (rational, gaussian, io.tensor_from_json(w6_doc)):
         for g in (path_graph(t.order), star_graph(t.order)):
             ranks = ttns_rank(t, g)
             state = ttns_decompose(t, g)

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from tnrank import gallery
-from tnrank.graph import GraphError, complete_graph, cycle_graph, path_graph, star_graph
+from tnrank.graph import GraphError, NetworkGraph, complete_graph, cycle_graph, path_graph, star_graph
 from tnrank.network import (
     CPDecomposition,
     ProblemSpec,
@@ -16,6 +18,7 @@ from tnrank.network import (
     universal_embed,
 )
 from tnrank.scalars import FLOAT
+from tnrank.scalars import GaussianRational as GR
 from tnrank.tensor import (
     Tensor,
     add,
@@ -162,6 +165,29 @@ def test_universal_embed_rank_one_gives_unit_bonds():
             st = universal_embed(cp, g)
             assert st.edge_dims == (1,) * g.c
             assert tensors_equal(contract_network(st), target)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_universal_embed_of_complex_terms_in_both_modes(mode):
+    # Complex rational (exact) or complex float terms; the single-vertex
+    # graph takes the plain CP sum.
+    rng = np.random.default_rng(5)
+
+    def vec(n):
+        re, im = rng.integers(-3, 4, size=n).tolist(), rng.integers(-3, 4, size=n).tolist()
+        if mode == "float":
+            return Tensor(np.array(re) + 1j * np.array(im), FLOAT)
+        return exact_tensor([GR(Fraction(a, 2), b) for a, b in zip(re, im)])
+
+    for g in (NetworkGraph(1, ()), path_graph(3), cycle_graph(3), complete_graph(4)):
+        dims = (2, 3, 2, 3)[: g.d]
+        cp = CPDecomposition(g.d, tuple(tuple(vec(n) for n in dims) for _ in range(3)))
+        got, want = contract_network(universal_embed(cp, g)), cp.to_tensor()
+        assert got.mode == mode and got.dims == want.dims
+        if mode == "exact":
+            assert tensors_equal(got, want)
+        else:
+            assert np.allclose(got.data, want.data, rtol=1e-12, atol=1e-12)
 
 
 def test_contract_disconnected_components_outer_product():

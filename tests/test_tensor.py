@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -143,3 +145,27 @@ def test_tensor_immutable():
         t.data[0] = GR(9)
     with pytest.raises(AttributeError):
         t.mode = "float"
+
+
+@pytest.mark.parametrize(
+    "dup", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
+)
+@pytest.mark.parametrize(
+    "value",
+    [
+        exact_tensor([[1, Fraction(-2, 3)], [GR(0, 1), 4]]),
+        exact_tensor([[1, 2], [3, 4]]).to_float(),
+        GR(Fraction(1, 3), -2),
+    ],
+    ids=["exact", "float", "scalar"],
+)
+def test_copy_and_pickle_round_trip(dup, value):
+    back = dup(value)
+    if isinstance(value, GR):
+        assert back == value and type(back) is GR
+        return
+    assert back.mode == value.mode and tensors_equal(back, value)
+    with pytest.raises(AttributeError):
+        back.mode = "float"
+    with pytest.raises(ValueError):
+        (back.data if back.lanes is None else back.lanes.re)[0, 0] = 9
